@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from advalstm.market_data import (
-    SplitSpec, align_trading_days, compute_features, ingest_eod,
-    label_and_window, stack_examples,
+    SplitSpec, align_trading_days, compute_features, ingest_eod, label_and_window,
 )
 from advalstm.synthetic import write_regime_price_csv
 
@@ -34,7 +33,8 @@ print("feature vector on day 40:")
 print(np.array2string(feats, precision=4))
 
 # label + window: lag-day windows anchored at day t, labeled by day t+1's
-# adjusted-close movement; moves inside (-0.5%, +0.55%) are dropped as neutral
+# adjusted-close movement; moves inside (-0.5%, +0.55%) are dropped as neutral.
+# Each split is columnar: one (n, lag, 11) array of windows plus per-row columns.
 spec = SplitSpec(
     train_end=dt.date(2020, 3, 1),
     val_end=dt.date(2020, 4, 15),
@@ -44,12 +44,15 @@ spec = SplitSpec(
 splits = label_and_window(aligned, spec)
 fractions = splits.positive_fraction()
 for name in ("train", "val", "test"):
-    x, y = stack_examples(getattr(splits, name))
+    split = getattr(splits, name)
     pos = fractions[name]
     pos_text = f"{pos:.1%} positive" if pos is not None else "empty"
-    print(f"{name}: {y.size} examples, windows {x.shape}, {pos_text}")
+    print(f"{name}: {len(split)} examples, windows {split.windows.shape}, {pos_text}")
 
-# each example remembers where it came from
-ex = splits.train[0]
-print("first train example:", ex.stock_id, "anchored at", ex.anchor_date,
-      "label", ex.label, f"movement {ex.movement_percent:+.4%}")
+# each row remembers where it came from: an index into the sorted stocks
+# and one into the trading calendar
+stocks = sorted(aligned.series)
+train = splits.train
+print("first train example:", stocks[train.stock_idx[0]],
+      "anchored at", aligned.calendar[train.anchor_idx[0]],
+      "label", train.labels[0], f"movement {train.movement[0]:+.4%}")

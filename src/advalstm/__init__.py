@@ -24,8 +24,6 @@ from .errors import (
 from .evaluation import (
     HistogramReport,
     MetricSummary,
-    MetricsReport,
-    PredictionRecord,
     accuracy,
     confidence_histogram,
     confusion_counts,
@@ -35,7 +33,7 @@ from .evaluation import (
     rpd,
     summarize_runs,
 )
-from .gridsearch import GridCell, GridResult, GridSpec, default_grid, grid_search
+from .gridsearch import GridCell, GridResult, GridSpec, grid_search
 from .market_data import (
     DEFAULT_NEG_THRESHOLD,
     DEFAULT_POS_THRESHOLD,
@@ -45,13 +43,12 @@ from .market_data import (
     AlignedData,
     DatasetSplits,
     EodRecord,
-    Example,
+    SplitArrays,
     SplitSpec,
     align_trading_days,
     compute_features,
     ingest_eod,
     label_and_window,
-    stack_examples,
 )
 from .model import (
     ForwardTrace,

@@ -16,20 +16,19 @@ import datetime as dt
 import hashlib
 import json
 import struct
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArtifactMismatchError
-from .evaluation import HistogramReport, PredictionRecord
-from .market_data import FEATURE_DIM, DatasetSplits, Example, SplitSpec, stack_examples
+from .errors import ArtifactMismatchError, ContractError
+from .evaluation import HistogramReport
+from .market_data import FEATURE_DIM, SPLIT_NAMES, DatasetSplits, SplitArrays, SplitSpec
 from .model import ModelDims, PARAM_FIELDS, ParamSet
 
 MAGIC = b"ADVALSTM"
 FORMAT_VERSION = 1
-
-SPLIT_NAMES = ("train", "val", "test")
 
 
 # ---------------------------------------------------------------- container
@@ -40,7 +39,8 @@ def write_container(path: str | Path, meta: dict, tensors: dict[str, np.ndarray]
     manifest = []
     blobs = []
     for name in sorted(tensors):
-        a = np.ascontiguousarray(tensors[name])
+        # asarray, not ascontiguousarray: the latter turns 0-d into (1,).
+        a = np.asarray(tensors[name])
         dtype = a.dtype.newbyteorder("<")
         manifest.append(
             {"dtype": dtype.str, "name": name, "shape": list(a.shape)}
@@ -141,6 +141,9 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
     missing = [name for name in PARAM_FIELDS if name not in tensors]
     if missing:
         raise ArtifactMismatchError(f"{path}: checkpoint missing tensors {missing}")
+    if tensors["b_head"].shape == (1,):
+        # Files written before 0-d shapes were preserved store b_head as (1,).
+        tensors["b_head"] = tensors["b_head"].reshape(())
     params = ParamSet(**{name: tensors[name] for name in PARAM_FIELDS})
     dims = ModelDims(
         feat_dim=int(meta["feat_dim"]),
@@ -156,33 +159,38 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
 # ------------------------------------------------------------------ dataset
 
 
+@dataclass
 class DatasetArtifact:
     """In-memory view of a stored dataset: splits plus aligned prices."""
 
-    def __init__(
-        self,
-        splits: DatasetSplits,
-        stocks: list[str],
-        calendar: list[dt.date],
-        adj_close: np.ndarray,
-        anchor_idx: dict[str, np.ndarray],
-        stock_idx: dict[str, np.ndarray],
-        meta: dict,
-    ):
-        self.splits = splits
-        self.stocks = stocks
-        self.calendar = calendar
-        self.adj_close = adj_close          # (n_stocks, n_days)
-        self.anchor_idx = anchor_idx        # split -> (n,) calendar indices
-        self.stock_idx = stock_idx          # split -> (n,) stock indices
-        self.meta = meta
+    splits: DatasetSplits
+    stocks: list[str]
+    calendar: list[dt.date]
+    adj_close: np.ndarray   # (n_stocks, n_days)
+    meta: dict
 
     @property
     def lag(self) -> int:
         return int(self.meta["lag"])
 
-    def arrays(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        return stack_examples(getattr(self.splits, split))
+    def arrays(self, split: str, lag: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Model-ready (windows, float labels) of one split.
+
+        A shorter ``lag`` keeps the last ``lag`` days of each stored
+        window, so every lag sees the same anchors and labels.
+        """
+        lag = self.lag if lag is None else lag
+        if lag < 1:
+            raise ContractError(f"lag must be >= 1, got {lag}")
+        if lag > self.lag:
+            raise ArtifactMismatchError(
+                f"lag {lag} is deeper than the dataset's lag {self.lag}; "
+                f"rebuild with data.lag >= {lag}"
+            )
+        data: SplitArrays = getattr(self.splits, split)
+        windows = data.windows[:, -lag:, :]
+        windows.flags.writeable = False  # a view of the stored split
+        return windows, data.labels.astype(np.float64)
 
 
 def save_dataset(
@@ -194,8 +202,6 @@ def save_dataset(
     adj_close: np.ndarray,
     dropped: Sequence[str] = (),
 ) -> None:
-    stock_pos = {s: i for i, s in enumerate(stocks)}
-    date_pos = {d: i for i, d in enumerate(calendar)}
     meta = {
         "kind": "dataset",
         "lag": spec.lag,
@@ -213,69 +219,45 @@ def save_dataset(
         "adj_close": np.asarray(adj_close, dtype=np.float64)
     }
     for split in SPLIT_NAMES:
-        examples: list[Example] = getattr(splits, split)
-        if examples:
-            windows = np.stack([ex.window for ex in examples]).astype(np.float64)
-        else:
-            windows = np.zeros((0, spec.lag, FEATURE_DIM))
-        tensors[f"{split}_windows"] = windows
-        tensors[f"{split}_labels"] = np.array(
-            [ex.label for ex in examples], dtype=np.int8
-        )
-        tensors[f"{split}_movement"] = np.array(
-            [ex.movement_percent for ex in examples], dtype=np.float64
-        )
-        tensors[f"{split}_stock_idx"] = np.array(
-            [stock_pos[ex.stock_id] for ex in examples], dtype=np.int32
-        )
-        tensors[f"{split}_anchor_idx"] = np.array(
-            [date_pos[ex.anchor_date] for ex in examples], dtype=np.int32
-        )
+        for f in fields(SplitArrays):
+            tensors[f"{split}_{f.name}"] = getattr(getattr(splits, split), f.name)
     write_container(path, meta, tensors)
+
+
+def _check_split(path, split: str, data: SplitArrays, lag: int, n_stocks: int, n_days: int):
+    n = len(data)
+    if data.windows.shape != (n, lag, FEATURE_DIM) or any(
+        getattr(data, f.name).shape != (n,) for f in fields(SplitArrays) if f.name != "windows"
+    ):
+        raise ArtifactMismatchError(f"{path}: inconsistent {split} split sizes")
+    if not np.all((data.labels == 1) | (data.labels == -1)):
+        raise ArtifactMismatchError(f"{path}: {split} labels must be +1 or -1")
+    for name, bound in (("stock_idx", n_stocks), ("anchor_idx", n_days)):
+        idx = getattr(data, name)
+        if n and (idx.min() < 0 or idx.max() >= bound):
+            raise ArtifactMismatchError(f"{path}: {split} {name} out of range [0, {bound})")
 
 
 def load_dataset(path: str | Path) -> DatasetArtifact:
     meta, tensors = read_container(path)
     if meta.get("kind") != "dataset":
         raise ArtifactMismatchError(f"{path}: not a dataset (kind={meta.get('kind')!r})")
-    stocks = list(meta["stocks"])
-    calendar = [dt.date.fromisoformat(s) for s in meta["calendar"]]
-    split_lists: dict[str, list[Example]] = {}
-    anchor_idx: dict[str, np.ndarray] = {}
-    stock_idx: dict[str, np.ndarray] = {}
+    try:
+        stocks = list(meta["stocks"])
+        calendar = [dt.date.fromisoformat(s) for s in meta["calendar"]]
+        lag = int(meta["lag"])
+        adj_close = tensors["adj_close"]
+        splits = DatasetSplits(**{
+            split: SplitArrays(**{f.name: tensors[f"{split}_{f.name}"] for f in fields(SplitArrays)})
+            for split in SPLIT_NAMES
+        })
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactMismatchError(f"{path}: incomplete dataset: {exc!r}") from exc
+    if adj_close.shape != (len(stocks), len(calendar)):
+        raise ArtifactMismatchError(f"{path}: adj_close does not match stocks x calendar")
     for split in SPLIT_NAMES:
-        windows = tensors[f"{split}_windows"]
-        labels = tensors[f"{split}_labels"]
-        movement = tensors[f"{split}_movement"]
-        s_idx = tensors[f"{split}_stock_idx"]
-        a_idx = tensors[f"{split}_anchor_idx"]
-        n = labels.shape[0]
-        if not (windows.shape[0] == movement.shape[0] == s_idx.shape[0] == a_idx.shape[0] == n):
-            raise ArtifactMismatchError(f"{path}: inconsistent {split} split sizes")
-        split_lists[split] = [
-            Example(
-                stock_id=stocks[s_idx[i]],
-                anchor_date=calendar[a_idx[i]],
-                window=windows[i],
-                label=int(labels[i]),
-                movement_percent=float(movement[i]),
-            )
-            for i in range(n)
-        ]
-        anchor_idx[split] = a_idx.astype(np.int64)
-        stock_idx[split] = s_idx.astype(np.int64)
-    splits = DatasetSplits(
-        train=split_lists["train"], val=split_lists["val"], test=split_lists["test"]
-    )
-    return DatasetArtifact(
-        splits=splits,
-        stocks=stocks,
-        calendar=calendar,
-        adj_close=tensors["adj_close"],
-        anchor_idx=anchor_idx,
-        stock_idx=stock_idx,
-        meta=meta,
-    )
+        _check_split(path, split, getattr(splits, split), lag, len(stocks), len(calendar))
+    return DatasetArtifact(splits, stocks, calendar, adj_close, meta)
 
 
 # -------------------------------------------------------------- CSV reports
@@ -316,12 +298,9 @@ def write_grid_csv(path: str | Path, cells) -> None:
     )
 
 
-def write_predictions_csv(path: str | Path, records: Iterable[PredictionRecord]) -> None:
-    _write_csv(
-        path,
-        ("stock", "date", "label", "confidence", "predicted"),
-        ((r.stock, r.date, r.label, r.confidence, r.predicted) for r in records),
-    )
+def write_predictions_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """One row per scored window: stock, anchor date, label, confidence, predicted."""
+    _write_csv(path, ("stock", "date", "label", "confidence", "predicted"), rows)
 
 
 def write_histogram_csv(path: str | Path, hist: HistogramReport) -> None:

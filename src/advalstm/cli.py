@@ -33,14 +33,7 @@ from .errors import (
     ShapeError,
     WindowError,
 )
-from .evaluation import (
-    PredictionRecord,
-    accuracy,
-    confidence_histogram,
-    mcc,
-    multi_run_report,
-    rpd,
-)
+from .evaluation import accuracy, confidence_histogram, mcc, multi_run_report, rpd
 from .gridsearch import grid_search
 from .market_data import (
     FEATURE_DIM,
@@ -136,8 +129,8 @@ def cmd_build(args) -> int:
 
 
 def _train_once(config: RunConfig, dataset, out: Path, dataset_sha: str) -> None:
-    x_train, y_train = dataset.arrays("train")
-    x_val, y_val = dataset.arrays("val")
+    x_train, y_train = dataset.arrays("train", config.lag)
+    x_val, y_val = dataset.arrays("val", config.lag)
     dims = config.model_dims()
     train_config = config.train_config()
     result = train(x_train, y_train, x_val, y_val, dims, train_config)
@@ -145,7 +138,7 @@ def _train_once(config: RunConfig, dataset, out: Path, dataset_sha: str) -> None
     artifacts.save_checkpoint(
         out / CHECKPOINT_FILE,
         result.params,
-        lag=dataset.lag,
+        lag=config.lag,
         seed=train_config.seed,
         mode=train_config.mode,
         best_epoch=result.best_epoch,
@@ -193,23 +186,13 @@ def cmd_grid(args) -> int:
     dataset = artifacts.load_dataset(dataset_path)
     grid = config.grid_spec()
 
-    max_lag = max(grid.lags)
-    if dataset.lag < max_lag:
-        raise ArtifactMismatchError(
-            f"dataset was built with lag {dataset.lag} but the grid needs up to "
-            f"{max_lag}; rebuild with data.lag >= {max_lag}"
-        )
-
-    x_train, y_train = dataset.arrays("train")
-    x_val, y_val = dataset.arrays("val")
-
-    def data_for_lag(lag: int):
-        # Shorter windows are suffixes of the stored ones, so every grid
-        # cell sees the same anchors and labels.
-        return x_train[:, -lag:, :], y_train, x_val[:, -lag:, :], y_val
-
+    # Sliced up front, so a lag deeper than the dataset's fails before any training.
+    data = {
+        lag: (*dataset.arrays("train", lag), *dataset.arrays("val", lag))
+        for lag in grid.lags
+    }
     base = dataclasses.replace(config.train_config(), epochs=config.grid_epochs)
-    result = grid_search(grid, data_for_lag, base, feat_dim=FEATURE_DIM)
+    result = grid_search(grid, data.__getitem__, base, feat_dim=FEATURE_DIM)
 
     artifacts.write_grid_csv(out / "grid_results.csv", result.cells)
     best = result.best
@@ -231,16 +214,14 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint_for(dataset, dataset_sha: str, path: Path):
+def _load_checkpoint_for(dataset_sha: str, path: Path):
     params, dims, meta = artifacts.load_checkpoint(path)
     if dims.feat_dim != FEATURE_DIM:
         raise ArtifactMismatchError(
             f"checkpoint expects {dims.feat_dim} features, dataset has {FEATURE_DIM}"
         )
-    if int(meta.get("lag", -1)) != dataset.lag:
-        raise ArtifactMismatchError(
-            f"checkpoint was trained at lag {meta.get('lag')}, dataset has lag {dataset.lag}"
-        )
+    if not isinstance(meta.get("lag"), int) or meta["lag"] < 1:
+        raise ArtifactMismatchError(f"{path}: checkpoint records no valid lag")
     recorded = meta.get("dataset_sha256")
     if recorded is not None and recorded != dataset_sha:
         raise ArtifactMismatchError(
@@ -250,29 +231,18 @@ def _load_checkpoint_for(dataset, dataset_sha: str, path: Path):
     return params, meta
 
 
-def _test_records(dataset, params) -> tuple[list[PredictionRecord], np.ndarray, np.ndarray]:
-    x_test, y_test = dataset.arrays("test")
+def _test_arrays(dataset, meta: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Test windows at the checkpoint's lag."""
+    x_test, y_test = dataset.arrays("test", meta["lag"])
     if y_test.size == 0:
         raise ContractError("test split is empty; nothing to evaluate")
-    yhat = predict(x_test, params)
-    pred = classify(yhat)
-    records = [
-        PredictionRecord(
-            stock=ex.stock_id,
-            date=ex.anchor_date.isoformat(),
-            label=ex.label,
-            confidence=float(yhat[i]),
-            predicted=int(pred[i]),
-        )
-        for i, ex in enumerate(dataset.splits.test)
-    ]
-    return records, y_test, yhat
+    return x_test, y_test
 
 
 def _baseline_predictions(dataset, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     indicators = config.indicator_config()
-    s_idx = dataset.stock_idx["test"]
-    a_idx = dataset.anchor_idx["test"]
+    s_idx = dataset.splits.test.stock_idx
+    a_idx = dataset.splits.test.anchor_idx
     mom = np.empty(s_idx.size, dtype=np.int64)
     mr = np.empty(s_idx.size, dtype=np.int64)
     for i in range(s_idx.size):
@@ -298,10 +268,11 @@ def cmd_eval(args) -> int:
     )
     dataset = artifacts.load_dataset(dataset_path)
     sha = artifacts.file_sha256(dataset_path)
-    params, _ = _load_checkpoint_for(dataset, sha, checkpoint_path)
+    params, meta = _load_checkpoint_for(sha, checkpoint_path)
 
-    records, y_test, yhat = _test_records(dataset, params)
-    pred = np.array([r.predicted for r in records])
+    x_test, y_test = _test_arrays(dataset, meta)
+    yhat = predict(x_test, params)
+    pred = classify(yhat)
     mom_pred, mr_pred = _baseline_predictions(dataset, config)
 
     scores = {
@@ -317,7 +288,18 @@ def cmd_eval(args) -> int:
     rows = [(name, acc_val, mcc_val) for name, (acc_val, mcc_val) in scores.items()]
     rows.append(("ri_pct", ri_acc, ri_mcc))
     artifacts.write_metrics_csv(out / "metrics.csv", rows)
-    artifacts.write_predictions_csv(out / "predictions.csv", records)
+    test = dataset.splits.test
+    dates = [d.isoformat() for d in dataset.calendar]
+    artifacts.write_predictions_csv(
+        out / "predictions.csv",
+        zip(
+            [dataset.stocks[i] for i in test.stock_idx],
+            [dates[i] for i in test.anchor_idx],
+            test.labels.tolist(),
+            yhat.tolist(),
+            pred.astype(np.int64).tolist(),
+        ),
+    )
     artifacts.write_histogram_csv(
         out / "confidence_histogram.csv", confidence_histogram(yhat, bins=20)
     )
@@ -340,7 +322,7 @@ def cmd_attack(args) -> int:
     )
     dataset = artifacts.load_dataset(dataset_path)
     sha = artifacts.file_sha256(dataset_path)
-    params, meta = _load_checkpoint_for(dataset, sha, checkpoint_path)
+    params, meta = _load_checkpoint_for(sha, checkpoint_path)
 
     if args.scale is not None:
         eps = args.scale
@@ -351,9 +333,7 @@ def cmd_attack(args) -> int:
     if eps < 0:
         raise ConfigError(f"attack scale must be >= 0, got {eps}")
 
-    x_test, y_test = dataset.arrays("test")
-    if y_test.size == 0:
-        raise ContractError("test split is empty; nothing to attack")
+    x_test, y_test = _test_arrays(dataset, meta)
     clean_yhat, attacked_yhat = attacked_confidences(x_test, y_test, params, eps)
     clean_pred = classify(clean_yhat)
     attacked_pred = classify(attacked_yhat)

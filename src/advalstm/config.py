@@ -26,6 +26,17 @@ from .model import ModelDims
 from .training import MODES, TrainConfig
 
 
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+# Each default lives on the dataclass that consumes it.
+_TRAIN = _defaults(TrainConfig)
+_DIMS = _defaults(ModelDims)
+_GRID = _defaults(GridSpec)
+_INDICATORS = _defaults(IndicatorConfig)
+
+
 @dataclass
 class RunConfig:
     """Parsed and validated configuration for one experiment."""
@@ -39,26 +50,26 @@ class RunConfig:
     test_end: dt.date | None = None
     pos_threshold: float = DEFAULT_POS_THRESHOLD
     neg_threshold: float = DEFAULT_NEG_THRESHOLD
-    map_size: int = 16
-    hidden_size: int = 16
-    att_size: int = 0            # 0 means: same as hidden_size
-    mode: str = "normal"
-    l2_coef: float = 0.01
-    adv_weight: float = 0.05
-    adv_scale: float = 0.01
-    learning_rate: float = 0.01
-    batch_size: int = 1024
-    epochs: int = 150
-    patience: int = 20
-    seed: int = 0
-    mom_window: int = 10
-    mr_window: int = 30
+    map_size: int = _DIMS["map_size"]
+    hidden_size: int = _DIMS["hidden_size"]
+    att_size: int = _DIMS["att_size"]   # 0 means: same as hidden_size
+    mode: str = _TRAIN["mode"]
+    l2_coef: float = _TRAIN["l2_coef"]
+    adv_weight: float = _TRAIN["adv_weight"]
+    adv_scale: float = _TRAIN["adv_scale"]
+    learning_rate: float = _TRAIN["learning_rate"]
+    batch_size: int = _TRAIN["batch_size"]
+    epochs: int = _TRAIN["epochs"]
+    patience: int = _TRAIN["patience"]
+    seed: int = _TRAIN["seed"]
+    mom_window: int = _INDICATORS["mom_window"]
+    mr_window: int = _INDICATORS["mr_window"]
     attack_scale: float | None = None   # None: fall back to the training scale
-    grid_hidden_sizes: tuple[int, ...] = (4, 8, 16, 32)
-    grid_lags: tuple[int, ...] = (2, 3, 4, 5, 10, 15)
-    grid_l2_coefs: tuple[float, ...] = (0.001, 0.01, 0.1, 1.0)
-    grid_adv_weights: tuple[float, ...] = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
-    grid_adv_scales: tuple[float, ...] = (0.001, 0.005, 0.01, 0.05, 0.1)
+    grid_hidden_sizes: tuple[int, ...] = _GRID["hidden_sizes"]
+    grid_lags: tuple[int, ...] = _GRID["lags"]
+    grid_l2_coefs: tuple[float, ...] = _GRID["l2_coefs"]
+    grid_adv_weights: tuple[float, ...] = _GRID["adv_weights"]
+    grid_adv_scales: tuple[float, ...] = _GRID["adv_scales"]
     grid_epochs: int = 10
 
     def model_dims(self) -> ModelDims:

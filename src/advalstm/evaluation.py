@@ -18,23 +18,6 @@ import numpy as np
 from .errors import ContractError
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One scored example: identity, truth, confidence, decision."""
-
-    stock: str
-    date: str
-    label: int            # +1 or -1
-    confidence: float     # raw model output
-    predicted: int        # +1 iff confidence >= 0
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ContractError(f"label must be +1 or -1, got {self.label}")
-        if self.predicted not in (-1, 1):
-            raise ContractError(f"predicted must be +1 or -1, got {self.predicted}")
-
-
 def confusion_counts(
     labels: Sequence[int] | np.ndarray, predictions: Sequence[int] | np.ndarray
 ) -> tuple[int, int, int, int]:
@@ -76,19 +59,6 @@ def mcc_from_counts(tp: int, tn: int, fp: int, fn: int) -> float:
     if denom_sq == 0:
         return 0.0
     return (tp * tn - fp * fn) / math.sqrt(denom_sq)
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    acc: float
-    mcc: float
-    n: int
-
-    @classmethod
-    def from_records(cls, records: Sequence[PredictionRecord]) -> "MetricsReport":
-        labels = [r.label for r in records]
-        preds = [r.predicted for r in records]
-        return cls(acc=accuracy(labels, preds), mcc=mcc(labels, preds), n=len(records))
 
 
 def rpd(clean: float, attacked: float) -> float | None:

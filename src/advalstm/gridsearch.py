@@ -44,10 +44,6 @@ class GridSpec:
         return stage1 + stage2
 
 
-def default_grid() -> GridSpec:
-    return GridSpec()
-
-
 @dataclass(frozen=True)
 class GridCell:
     """One evaluated configuration and its validation scores."""

@@ -15,9 +15,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,6 +57,8 @@ MIN_HISTORY = 30
 
 DEFAULT_POS_THRESHOLD = 0.0055  # movement >= +0.55% labels +1
 DEFAULT_NEG_THRESHOLD = -0.005  # movement <= -0.50% labels -1
+
+SPLIT_NAMES = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -104,18 +106,6 @@ class SplitSpec:
             )
 
 
-@dataclass(frozen=True)
-class Example:
-    """A labeled lag window: `window[i]` is the feature vector of the
-    i-th oldest day, the last row belongs to `anchor_date`."""
-
-    stock_id: str
-    anchor_date: dt.date
-    window: np.ndarray  # (lag, FEATURE_DIM) float64
-    label: int  # +1 or -1
-    movement_percent: float
-
-
 @dataclass
 class AlignedData:
     """Result of trading-day alignment."""
@@ -125,23 +115,48 @@ class AlignedData:
     dropped: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
+class SplitArrays:
+    """One split in columnar form: row i of every array is one labeled
+    lag window.  ``windows[i, j]`` is the feature vector of the j-th
+    oldest day; the last row belongs to the anchor day."""
+
+    windows: np.ndarray     # (n, lag, FEATURE_DIM) float64
+    labels: np.ndarray      # (n,) int8, +1 or -1
+    movement: np.ndarray    # (n,) float64, next-day adjusted-close change
+    stock_idx: np.ndarray   # (n,) int32, position in the sorted stock list
+    anchor_idx: np.ndarray  # (n,) int32, calendar index of the anchor day
+
+    def __len__(self) -> int:
+        return int(self.labels.shape[0])
+
+    @classmethod
+    def concat(cls, parts: Sequence["SplitArrays"], lag: int) -> "SplitArrays":
+        if not parts:
+            return cls(
+                windows=np.zeros((0, lag, FEATURE_DIM), dtype=np.float64),
+                labels=np.zeros((0,), dtype=np.int8),
+                movement=np.zeros((0,), dtype=np.float64),
+                stock_idx=np.zeros((0,), dtype=np.int32),
+                anchor_idx=np.zeros((0,), dtype=np.int32),
+            )
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+
+@dataclass(frozen=True)
 class DatasetSplits:
-    train: list[Example]
-    val: list[Example]
-    test: list[Example]
+    train: SplitArrays
+    val: SplitArrays
+    test: SplitArrays
 
     def counts(self) -> dict[str, int]:
-        return {"train": len(self.train), "val": len(self.val), "test": len(self.test)}
+        return {name: len(getattr(self, name)) for name in SPLIT_NAMES}
 
     def positive_fraction(self) -> dict[str, float | None]:
         out = {}
-        for name in ("train", "val", "test"):
-            examples = getattr(self, name)
-            if examples:
-                out[name] = sum(1 for e in examples if e.label > 0) / len(examples)
-            else:
-                out[name] = None
+        for name in SPLIT_NAMES:
+            labels = getattr(self, name).labels
+            out[name] = int(np.count_nonzero(labels > 0)) / labels.size if labels.size else None
         return out
 
 
@@ -298,70 +313,51 @@ def compute_features(series: Sequence[EodRecord], t: int) -> np.ndarray:
     return out
 
 
-def _bucket(anchor: dt.date, spec: SplitSpec) -> str | None:
-    if anchor < spec.train_end:
-        return "train"
-    if anchor < spec.val_end:
-        return "val"
-    if anchor < spec.test_end:
-        return "test"
-    return None
-
-
 def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
-    """Build labeled lag-window examples and assign them to splits.
+    """Build labeled lag windows and assign them to splits.
 
     The movement percent of an anchor day is the next trading day's
-    adjusted-close change; examples strictly between the thresholds are
-    discarded everywhere (they exist in no split).  An empty split is a
-    warning, not an error.
+    adjusted-close change; windows strictly between the thresholds are
+    discarded everywhere (they exist in no split).  Rows are ordered by
+    stock (sorted), then anchor day.  An empty split is a warning, not
+    an error.
     """
-    splits = DatasetSplits(train=[], val=[], test=[])
+    parts: dict[str, list[SplitArrays]] = {name: [] for name in SPLIT_NAMES}
+    bounds = [d.toordinal() for d in (spec.train_end, spec.val_end, spec.test_end)]
     first_anchor = MIN_HISTORY - 1 + spec.lag - 1
-    for stock, records in aligned.series.items():
+    for s_idx, stock in enumerate(sorted(aligned.series)):
+        records = aligned.series[stock]
         n = len(records)
         if n < first_anchor + 2:
             continue
         feats = np.full((n, FEATURE_DIM), np.nan)
         for t in range(MIN_HISTORY - 1, n):
             feats[t] = compute_features(records, t)
-        for t in range(first_anchor, n - 1):
-            anchor = records[t].date
-            bucket = _bucket(anchor, spec)
-            if bucket is None:
+        t = np.arange(first_anchor, n - 1)
+        adj = np.array([r.adj_close for r in records], dtype=np.float64)
+        movement = adj[t + 1] / adj[t] - 1.0
+        labels = np.where(movement >= spec.pos_threshold, 1,
+                          np.where(movement <= spec.neg_threshold, -1, 0)).astype(np.int8)
+        # 0 train, 1 val, 2 test, 3 past the test end (half-open intervals)
+        bucket = np.searchsorted(bounds, [records[i].date.toordinal() for i in t], side="right")
+        for b, name in enumerate(SPLIT_NAMES):
+            keep = (bucket == b) & (labels != 0)
+            if not keep.any():
                 continue
-            movement = records[t + 1].adj_close / records[t].adj_close - 1.0
-            if movement >= spec.pos_threshold:
-                label = 1
-            elif movement <= spec.neg_threshold:
-                label = -1
-            else:
-                continue
-            window = feats[t - spec.lag + 1 : t + 1].copy()
-            getattr(splits, bucket).append(
-                Example(
-                    stock_id=stock,
-                    anchor_date=anchor,
-                    window=window,
-                    label=label,
-                    movement_percent=movement,
+            anchors = t[keep]
+            parts[name].append(
+                SplitArrays(
+                    windows=feats[anchors[:, None] + np.arange(1 - spec.lag, 1)],
+                    labels=labels[keep],
+                    movement=movement[keep],
+                    stock_idx=np.full(anchors.size, s_idx, dtype=np.int32),
+                    anchor_idx=anchors.astype(np.int32),
                 )
             )
-    for name in ("train", "val", "test"):
-        if not getattr(splits, name):
+    splits = DatasetSplits(**{name: SplitArrays.concat(parts[name], spec.lag)
+                              for name in SPLIT_NAMES})
+    for name in SPLIT_NAMES:
+        if not len(getattr(splits, name)):
             warnings.warn(f"split {name!r} has no retained examples", EmptySplitWarning,
                           stacklevel=2)
     return splits
-
-
-def stack_examples(examples: Iterable[Example]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack examples into model-ready arrays (windows, labels)."""
-    examples = list(examples)
-    if not examples:
-        return (
-            np.zeros((0, 0, FEATURE_DIM), dtype=np.float64),
-            np.zeros((0,), dtype=np.float64),
-        )
-    x = np.stack([e.window for e in examples]).astype(np.float64)
-    y = np.array([float(e.label) for e in examples], dtype=np.float64)
-    return x, y

@@ -22,7 +22,7 @@ keeps the same relative weight at any batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -449,8 +449,3 @@ def train(
         history=history,
         final_params=params.copy(),
     )
-
-
-def make_train_config(**kwargs) -> TrainConfig:
-    """replace()-style constructor used by grid search."""
-    return replace(TrainConfig(), **kwargs)

@@ -21,7 +21,7 @@ from advalstm.artifacts import (
     write_predictions_csv,
 )
 from advalstm.errors import ArtifactMismatchError, EmptySplitWarning
-from advalstm.evaluation import PredictionRecord, confidence_histogram
+from advalstm.evaluation import confidence_histogram
 from advalstm.gridsearch import GridCell
 from advalstm.market_data import SplitSpec, align_trading_days, label_and_window
 from advalstm.model import ModelDims, init_params
@@ -48,6 +48,13 @@ class TestContainer:
         for name in tensors:
             np.testing.assert_array_equal(tensors2[name], tensors[name])
             assert tensors2[name].dtype == tensors[name].dtype
+
+    def test_zero_dim_shape_kept(self, tmp_path):
+        path = tmp_path / "x.bin"
+        write_container(path, {}, {"s": np.array(2.5)})
+        _, tensors = read_container(path)
+        assert tensors["s"].shape == ()
+        assert tensors["s"] == 2.5
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -94,6 +101,28 @@ class TestCheckpoint:
         assert meta["best_epoch"] == 7
         assert meta["adv_scale"] == 0.05
         assert meta["dataset_sha256"] == "abc"
+
+    def test_round_trip_keeps_shapes(self, tmp_path, small_dims):
+        params = init_params(small_dims, np.random.default_rng(5))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, lag=4, seed=5, mode="normal", best_epoch=1)
+        loaded, _, _ = load_checkpoint(path)
+        assert params.b_head.shape == ()
+        for name, a in params.items():
+            assert getattr(loaded, name).shape == a.shape, name
+
+    def test_legacy_one_element_b_head_loads_as_scalar(self, tmp_path, small_dims):
+        params = init_params(small_dims, np.random.default_rng(5))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, lag=4, seed=5, mode="normal", best_epoch=1)
+        meta, tensors = read_container(path)
+        tensors["b_head"] = tensors["b_head"].reshape(1)
+        write_container(path, meta, tensors)
+        assert read_container(path)[1]["b_head"].shape == (1,)
+        loaded, _, _ = load_checkpoint(path)
+        for name, a in params.items():
+            assert getattr(loaded, name).shape == a.shape, name
+        np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
 
     def test_kind_checked(self, tmp_path):
         p = tmp_path / "x.bin"
@@ -142,15 +171,13 @@ class TestDataset:
             orig = getattr(splits, split)
             got = getattr(ds.splits, split)
             assert len(orig) == len(got)
-            for a, b in zip(orig, got):
-                assert a.stock_id == b.stock_id
-                assert a.anchor_date == b.anchor_date
-                assert a.label == b.label
-                assert a.movement_percent == b.movement_percent
-                np.testing.assert_array_equal(a.window, b.window)
-        # anchor indices point at the right calendar dates
-        for i, ex in enumerate(ds.splits.test):
-            assert calendar[ds.anchor_idx["test"][i]] == ex.anchor_date
+            for name in ("stock_idx", "anchor_idx", "labels", "movement", "windows"):
+                a, b = getattr(orig, name), getattr(got, name)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+        # anchor indices point at calendar dates inside the test split
+        for t in ds.splits.test.anchor_idx:
+            assert spec.val_end <= ds.calendar[t] < spec.test_end
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         splits, spec, stocks, calendar, adj = small_dataset()
@@ -165,6 +192,50 @@ class TestDataset:
         save_checkpoint(p, params, lag=3, seed=0, mode="normal", best_epoch=0)
         with pytest.raises(ArtifactMismatchError, match="not a dataset"):
             load_dataset(p)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("stock_idx", -1), ("stock_idx", 2), ("anchor_idx", -1), ("anchor_idx", 60)],
+    )
+    def test_index_out_of_range_rejected(self, tmp_path, name, value):
+        splits, spec, stocks, calendar, adj = small_dataset()
+        path = tmp_path / "d.bin"
+        save_dataset(path, splits, spec, stocks, calendar, adj)
+        meta, tensors = read_container(path)
+        tensors[f"test_{name}"][0] = value
+        write_container(path, meta, tensors)
+        with pytest.raises(ArtifactMismatchError, match=f"test {name} out of range"):
+            load_dataset(path)
+
+    def test_missing_fields_rejected(self, tmp_path):
+        path = tmp_path / "d.bin"
+        write_container(path, {"kind": "dataset"}, {})
+        with pytest.raises(ArtifactMismatchError, match="incomplete dataset"):
+            load_dataset(path)
+
+    def test_inconsistent_sizes_rejected(self, tmp_path):
+        splits, spec, stocks, calendar, adj = small_dataset()
+        path = tmp_path / "d.bin"
+        save_dataset(path, splits, spec, stocks, calendar, adj)
+        meta, tensors = read_container(path)
+        tensors["val_movement"] = tensors["val_movement"][:-1]
+        write_container(path, meta, tensors)
+        with pytest.raises(ArtifactMismatchError, match="inconsistent val split sizes"):
+            load_dataset(path)
+
+    def test_arrays_slice_to_a_shorter_lag(self, tmp_path):
+        splits, spec, stocks, calendar, adj = small_dataset()
+        path = tmp_path / "d.bin"
+        save_dataset(path, splits, spec, stocks, calendar, adj)
+        ds = load_dataset(path)
+        x3, y3 = ds.arrays("train")
+        x2, y2 = ds.arrays("train", 2)
+        assert x3.shape[1] == 3 and x2.shape[1] == 2
+        np.testing.assert_array_equal(x2, x3[:, 1:, :])
+        np.testing.assert_array_equal(y2, y3)
+        assert y3.dtype == np.float64
+        with pytest.raises(ArtifactMismatchError, match="deeper than the dataset's lag 3"):
+            ds.arrays("train", 4)
 
 
 class TestCsv:
@@ -191,7 +262,7 @@ class TestCsv:
     def test_predictions(self, tmp_path):
         p = tmp_path / "pred.csv"
         write_predictions_csv(
-            p, [PredictionRecord("A", "2020-01-02", 1, 0.125, 1)]
+            p, [("A", "2020-01-02", 1, 0.125, 1)]
         )
         lines = p.read_text().splitlines()
         assert lines[0] == "stock,date,label,confidence,predicted"

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from advalstm.artifacts import load_checkpoint, read_container, save_checkpoint, write_container
 from advalstm.cli import main
 from advalstm.config import load_config
+from advalstm.model import init_params
 from advalstm.synthetic import write_regime_price_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -174,6 +176,44 @@ class TestGrid:
         assert run("grid", "--config", str(grid_cfg)) == 4
 
 
+class TestLag:
+    def test_grid_winner_lag_reaches_train_and_eval(self, price_dir, built):
+        cfg, out, base = built
+        grid_cfg = write_config(
+            base / "g.cfg", price_dir, out,
+            **{
+                "grid.hidden_sizes": "4",
+                "grid.lags": "2,3",
+                "grid.l2_coefs": "0.01",
+                "grid.adv_weights": "0.1",
+                "grid.adv_scales": "0.05",
+                "grid.epochs": "2",
+            },
+        )
+        assert run("grid", "--config", str(grid_cfg)) == 0
+        best_cfg = out / "best_config.cfg"
+        best = load_config(best_cfg)
+        assert best.lag in (2, 3)  # shorter than the dataset's lag 5
+        assert run("train", "--config", str(best_cfg)) == 0
+        _, _, meta = load_checkpoint(out / "model.ckpt")
+        assert meta["lag"] == best.lag
+        assert run("eval", "--config", str(best_cfg)) == 0
+        assert run("attack", "--config", str(best_cfg)) == 0
+
+    def test_train_lag_deeper_than_dataset_exits_4(self, price_dir, built):
+        cfg, out, base = built
+        deep = write_config(base / "deep.cfg", price_dir, out, **{"data.lag": "6"})
+        assert run("train", "--config", str(deep)) == 4
+
+    def test_checkpoint_lag_deeper_than_dataset_exits_4(self, built, small_dims):
+        cfg, out, base = built
+        params = init_params(small_dims, np.random.default_rng(0))
+        ckpt = base / "deep.ckpt"
+        save_checkpoint(ckpt, params, lag=6, seed=0, mode="normal", best_epoch=0)
+        assert run("eval", "--config", str(cfg), str(ckpt)) == 4
+        assert run("attack", "--config", str(cfg), str(ckpt)) == 4
+
+
 @pytest.fixture()
 def trained(built):
     cfg, out, base = built
@@ -217,6 +257,18 @@ class TestEval:
         assert (
             run("eval", "--config", str(other_cfg), str(out / "model.ckpt")) == 4
         )
+
+    def test_corrupt_dataset_index_exits_4(self, trained):
+        cfg, out, base = trained
+        # A checkpoint without a dataset hash, so only the index check can fail.
+        params, _, _ = load_checkpoint(out / "model.ckpt")
+        ckpt = base / "nohash.ckpt"
+        save_checkpoint(ckpt, params, lag=5, seed=0, mode="normal", best_epoch=0)
+        assert run("eval", "--config", str(cfg), str(ckpt)) == 0
+        meta, tensors = read_container(out / "dataset.bin")
+        tensors["test_stock_idx"][0] = -1
+        write_container(out / "dataset.bin", meta, tensors)
+        assert run("eval", "--config", str(cfg), str(ckpt)) == 4
 
 
 class TestAttack:

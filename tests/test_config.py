@@ -1,8 +1,11 @@
 import datetime as dt
+import re
+from pathlib import Path
 
 import pytest
 
 from advalstm.config import (
+    CONFIG_KEYS,
     RunConfig,
     config_as_dict,
     dump_config,
@@ -129,3 +132,34 @@ class TestRoundTrip:
         assert d["data.lag"] == 5
         assert d["train.mode"] == "normal"
         assert "grid.lags" in d
+
+
+def readme_defaults() -> dict[str, str]:
+    """Key -> default cell text from the README's configuration reference."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme[readme.index("## Configuration reference"):]
+    out = {}
+    for line in table.splitlines()[4:]:
+        if not line.startswith("|"):
+            break
+        key_cell, default_cell = line.split("|")[1:3]
+        keys = re.findall(r"`([a-z0-9_.]+)`", key_cell)
+        values = re.findall(r"`([^`]*)`", default_cell) or [default_cell.strip()] * len(keys)
+        assert len(values) == len(keys), line
+        out.update(zip(keys, values))
+    return out
+
+
+class TestReadme:
+    def test_reference_table_matches_defaults(self):
+        documented = readme_defaults()
+        defaults = config_as_dict(RunConfig())
+        assert set(documented) == set(CONFIG_KEYS)
+        for key, text in documented.items():
+            value = defaults[key]
+            if text in ("(required)", "unset"):
+                assert value in ("", None), key
+            elif isinstance(value, list):
+                assert text == ",".join(str(v) for v in value), key
+            else:
+                assert text == str(value), key

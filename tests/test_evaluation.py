@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from advalstm.errors import ContractError
 from advalstm.evaluation import (
     HistogramReport,
-    MetricsReport,
-    PredictionRecord,
     accuracy,
     confidence_histogram,
     confusion_counts,
@@ -97,19 +95,19 @@ class TestMcc:
 class TestRecords:
     def test_report_from_records(self):
         records = [
-            PredictionRecord("A", "2020-01-01", 1, 0.5, 1),
-            PredictionRecord("A", "2020-01-02", -1, 0.2, 1),
-            PredictionRecord("B", "2020-01-01", -1, -0.7, -1),
+            ("A", "2020-01-01", 1, 0.5, 1),
+            ("A", "2020-01-02", -1, 0.2, 1),
+            ("B", "2020-01-01", -1, -0.7, -1),
         ]
-        report = MetricsReport.from_records(records)
-        assert report.n == 3
-        assert report.acc == pytest.approx(200.0 / 3.0)
+        _, _, labels, _, preds = zip(*records)
+        assert len(records) == 3
+        assert accuracy(labels, preds) == pytest.approx(200.0 / 3.0)
 
     def test_record_validation(self):
         with pytest.raises(ContractError):
-            PredictionRecord("A", "2020-01-01", 0, 0.5, 1)
+            accuracy([0], [1])
         with pytest.raises(ContractError):
-            PredictionRecord("A", "2020-01-01", 1, 0.5, 2)
+            accuracy([1], [2])
 
 
 class TestRpd:

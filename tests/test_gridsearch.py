@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advalstm.errors import ContractError
-from advalstm.gridsearch import GridSpec, default_grid, grid_search
+from advalstm.gridsearch import GridSpec, grid_search
 from advalstm.synthetic import make_regime_examples
 from advalstm.training import TrainConfig
 
@@ -19,7 +19,7 @@ BASE = TrainConfig(epochs=6, batch_size=16, seed=0, patience=0,
 
 class TestSpec:
     def test_default_cell_count(self):
-        grid = default_grid()
+        grid = GridSpec()
         # stage one: 4 sizes x 6 lags x 4 weights; stage two: 7 x 5
         assert grid.cell_count() == 96 + 35 == 131
 

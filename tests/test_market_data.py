@@ -1,5 +1,10 @@
+import contextlib
+import dataclasses
 import datetime as dt
+import io
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +25,12 @@ from advalstm.market_data import (
     FEATURE_DIM,
     FEATURE_NAMES,
     MIN_HISTORY,
+    EodRecord,
     SplitSpec,
     align_trading_days,
     compute_features,
     ingest_eod,
     label_and_window,
-    stack_examples,
 )
 
 from conftest import flat_series, series_from_closes
@@ -250,26 +255,27 @@ class TestLabelAndWindow:
         splits = label_and_window(aligned, spec)
         # train: anchors 33..39 (7), val: 40..49 (10), test: 50..58 (9), x3 stocks
         assert splits.counts() == {"train": 21, "val": 30, "test": 27}
-        assert all(e.label == 1 for e in splits.train + splits.val + splits.test)
+        assert all(np.all(getattr(splits, name).labels == 1) for name in ("train", "val", "test"))
 
     def test_half_open_boundary(self):
         aligned = rising_aligned()
         spec = make_spec(lag=5)
         splits = label_and_window(aligned, spec)
         boundary = spec.train_end
-        assert all(e.anchor_date < boundary for e in splits.train)
-        assert any(e.anchor_date == boundary for e in splits.val)
+        dates = aligned.calendar
+        assert all(dates[t] < boundary for t in splits.train.anchor_idx)
+        assert any(dates[t] == boundary for t in splits.val.anchor_idx)
 
     def test_window_rows_match_feature_oracle(self):
         aligned = rising_aligned(stocks=("A",))
         spec = make_spec(lag=4)
         splits = label_and_window(aligned, spec)
-        ex = splits.val[0]
+        window = splits.val.windows[0]
         series = aligned.series["A"]
-        t = next(i for i, r in enumerate(series) if r.date == ex.anchor_date)
+        t = splits.val.anchor_idx[0]
         for offset in range(4):
             np.testing.assert_array_equal(
-                ex.window[offset], compute_features(series, t - 3 + offset)
+                window[offset], compute_features(series, t - 3 + offset)
             )
 
     def test_neutral_movements_dropped(self):
@@ -286,8 +292,8 @@ class TestLabelAndWindow:
         splits = label_and_window(aligned, spec)
         seen = {}
         for name in ("train", "val", "test"):
-            for e in getattr(splits, name):
-                key = (e.stock_id, e.anchor_date)
+            data = getattr(splits, name)
+            for key in zip(data.stock_idx.tolist(), data.anchor_idx.tolist()):
                 assert key not in seen, f"{key} appears in {seen.get(key)} and {name}"
                 seen[key] = name
 
@@ -321,14 +327,14 @@ class TestLabelAndWindow:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptySplitWarning)
             splits = label_and_window(aligned, spec)
-        examples = splits.train
+        labels = splits.train.labels.tolist()
         recovered = closes[30] / closes[29] - 1.0
         if recovered >= pos:
-            assert [e.label for e in examples] == [1]
+            assert labels == [1]
         elif recovered <= neg:
-            assert [e.label for e in examples] == [-1]
+            assert labels == [-1]
         else:
-            assert examples == []
+            assert labels == []
 
 
 class TestStack:
@@ -337,11 +343,131 @@ class TestStack:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptySplitWarning)
             splits = label_and_window(aligned, make_spec(lag=5))
-        x, y = stack_examples(splits.train)
+        x, y = splits.train.windows, splits.train.labels
         assert x.shape == (len(splits.train), 5, FEATURE_DIM)
         assert x.dtype == np.float64
         assert set(np.unique(y)) <= {-1.0, 1.0}
 
     def test_empty(self):
-        x, y = stack_examples([])
+        with pytest.warns(EmptySplitWarning):
+            splits = label_and_window(align_trading_days({"A": flat_series(60)}),
+                                      make_spec(lag=2))
+        x, y = splits.train.windows, splits.train.labels
         assert x.shape[0] == 0 and y.shape == (0,)
+
+
+def random_series(seed, n_days=60):
+    """A stock whose open/high/low/close/adj_close all differ from day to day."""
+    rng = np.random.default_rng(seed)
+    close = 20.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, n_days)))
+    adj = close * np.exp(np.cumsum(rng.normal(0.0, 0.002, n_days)))
+    open_ = close * (1.0 + rng.normal(0.0, 0.01, n_days))
+    high = np.maximum(open_, close) * (1.0 + rng.uniform(0.0, 0.01, n_days))
+    low = np.minimum(open_, close) * (1.0 - rng.uniform(0.0, 0.01, n_days))
+    return [
+        EodRecord(date=dt.date(2020, 1, 1) + dt.timedelta(days=i), open=open_[i],
+                  high=high[i], low=low[i], close=close[i], adj_close=adj[i], volume=1.0)
+        for i in range(n_days)
+    ]
+
+
+def rows_by_anchor(splits):
+    """anchor day index -> (window, label, movement) over every split."""
+    out = {}
+    for name in ("train", "val", "test"):
+        data = getattr(splits, name)
+        for i, t in enumerate(data.anchor_idx.tolist()):
+            out[t] = (data.windows[i], data.labels[i], data.movement[i])
+    return out
+
+
+class TestColumnarBuild:
+    def test_columns_match_loop_reference(self):
+        # One anchor at a time, the way the columns are defined.
+        series = {"B": random_series(3), "A": random_series(4)}
+        spec = make_spec(lag=4)
+        splits = label_and_window(align_trading_days(series), spec)
+        expected = {"train": [], "val": [], "test": []}
+        for s_idx, stock in enumerate(sorted(series)):
+            records = series[stock]
+            for t in range(MIN_HISTORY - 1 + spec.lag - 1, len(records) - 1):
+                day = records[t].date
+                if day >= spec.test_end:
+                    continue
+                name = "train" if day < spec.train_end else "val" if day < spec.val_end else "test"
+                movement = records[t + 1].adj_close / records[t].adj_close - 1.0
+                if spec.neg_threshold < movement < spec.pos_threshold:
+                    continue
+                window = np.stack([compute_features(records, d) for d in range(t - 3, t + 1)])
+                expected[name].append((s_idx, t, 1 if movement > 0 else -1, movement, window))
+        for name, rows in expected.items():
+            got = getattr(splits, name)
+            assert rows and len(got) == len(rows)
+            assert got.stock_idx.tolist() == [r[0] for r in rows]
+            assert got.anchor_idx.tolist() == [r[1] for r in rows]
+            assert got.labels.tolist() == [r[2] for r in rows]
+            assert got.movement.tolist() == [r[3] for r in rows]
+            np.testing.assert_array_equal(got.windows, np.stack([r[4] for r in rows]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        day=st.integers(0, 59),
+        column=st.sampled_from(("open", "high", "low", "close", "adj_close")),
+        factor=st.floats(min_value=0.5, max_value=2.0).filter(lambda f: f != 1.0),
+    )
+    def test_no_look_ahead(self, seed, day, column, factor):
+        series = random_series(seed)
+        spec = make_spec(lag=4)
+        perturbed = list(series)
+        rec = perturbed[day]
+        perturbed[day] = dataclasses.replace(rec, **{column: getattr(rec, column) * factor})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptySplitWarning)
+            before = rows_by_anchor(label_and_window(align_trading_days({"A": series}), spec))
+            after = rows_by_anchor(
+                label_and_window(align_trading_days({"A": perturbed}), spec)
+            )
+        for t, (window, label, movement) in before.items():
+            if t + 1 < day:
+                # the change lies after t + 1: anchor t is untouched
+                assert t in after
+                np.testing.assert_array_equal(after[t][0], window)
+                assert after[t][1] == label
+                assert after[t][2].tobytes() == movement.tobytes()
+            elif t + 1 == day and t in after:
+                # day t + 1 moves only anchor t's label and movement
+                np.testing.assert_array_equal(after[t][0], window)
+        for t in after:
+            if t + 1 < day:
+                assert t in before
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_files=st.integers(1, 4))
+    def test_csv_row_order_does_not_change_dataset(self, seed, n_files):
+        from advalstm.cli import main
+        from advalstm.synthetic import write_regime_price_csv
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_regime_price_csv(tmp / "sorted", n_stocks=3, n_days=80, seed=1)
+            rows = []
+            for f in sorted((tmp / "sorted").glob("*.csv")):
+                rows += f.read_text().splitlines()[1:]
+            rng = np.random.default_rng(seed)
+            shuffled = [rows[i] for i in rng.permutation(len(rows))]
+            (tmp / "shuffled").mkdir()
+            for part in range(n_files):
+                write_csv(tmp / "shuffled" / f"part-{part}.csv", shuffled[part::n_files])
+            digests = []
+            for name in ("sorted", "shuffled"):
+                cfg = tmp / f"{name}.cfg"
+                cfg.write_text(
+                    f"data.path = {tmp / name}\nout.dir = {tmp / name}-out\n"
+                    "data.lag = 3\nsplit.train_end = 2020-02-20\n"
+                    "split.val_end = 2020-03-05\nsplit.test_end = 2020-03-25\n"
+                )
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["build", "--config", str(cfg)]) == 0
+                digests.append((tmp / f"{name}-out" / "dataset.bin").read_bytes())
+            assert digests[0] == digests[1]
