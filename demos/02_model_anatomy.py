@@ -1,7 +1,7 @@
 """What one forward pass computes, piece by piece."""
 import numpy as np
 
-from advalstm.model import ModelDims, classify, forward, head_confidence, init_params
+from advalstm.model import ModelDims, classify, forward, head_forward, init_params
 from advalstm.synthetic import make_regime_examples
 
 rng = np.random.default_rng(0)
@@ -33,8 +33,8 @@ print("predicted movement:", classify(trace.yhat), "true labels:", y.astype(int)
 # the head is just a dot product, so confidences are easy to reason about
 manual = trace.e @ params.w_head + params.b_head
 print("head recomputed manually, max diff:", float(np.max(np.abs(manual - trace.yhat))))
-print("same thing via head_confidence:",
-      bool(np.array_equal(head_confidence(trace.e, params), manual)))
+print("same thing via head_forward:",
+      bool(np.array_equal(head_forward(trace.e, params), manual)))
 
 # an untrained model is indifferent: with zero parameters every day gets
 # the same attention and the confidence is exactly zero

@@ -57,7 +57,6 @@ from .model import (
     backward,
     classify,
     forward,
-    head_confidence,
     init_params,
     predict,
 )
@@ -69,8 +68,6 @@ from .training import (
     adam_step,
     adversarial_perturbations,
     attacked_confidences,
-    gen_adversarial,
-    gen_random_perturbation,
     hinge_grad,
     hinge_loss,
     objective_adversarial,

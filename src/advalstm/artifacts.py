@@ -71,27 +71,31 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise ArtifactMismatchError(f"{path}: truncated header")
     try:
         header = json.loads(raw[start : start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        version = header.get("format_version")
+    except (UnicodeDecodeError, json.JSONDecodeError, AttributeError) as exc:
         raise ArtifactMismatchError(f"{path}: unreadable header: {exc}") from exc
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ArtifactMismatchError(
-            f"{path}: unsupported format version {header.get('format_version')!r}"
-        )
+    if version != FORMAT_VERSION:
+        raise ArtifactMismatchError(f"{path}: unsupported format version {version!r}")
     tensors: dict[str, np.ndarray] = {}
     offset = start + header_len
-    for entry in header.get("tensors", []):
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        if offset + nbytes > len(raw):
-            raise ArtifactMismatchError(f"{path}: truncated tensor {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(
-            raw, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
-        ).reshape(shape).copy()
-        offset += nbytes
+    try:
+        meta = header["meta"]
+        if not isinstance(meta, dict):
+            raise TypeError("meta is not an object")
+        for entry in header["tensors"]:
+            dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            if offset + nbytes > len(raw):
+                raise ArtifactMismatchError(f"{path}: truncated tensor {entry['name']!r}")
+            tensors[entry["name"]] = np.frombuffer(
+                raw, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
+            ).reshape(shape).copy()
+            offset += nbytes
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactMismatchError(f"{path}: malformed header: {exc!r}") from exc
     if offset != len(raw):
         raise ArtifactMismatchError(f"{path}: {len(raw) - offset} trailing bytes")
-    return header["meta"], tensors
+    return meta, tensors
 
 
 def file_sha256(path: str | Path) -> str:
@@ -145,12 +149,11 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
         # Files written before 0-d shapes were preserved store b_head as (1,).
         tensors["b_head"] = tensors["b_head"].reshape(())
     params = ParamSet(**{name: tensors[name] for name in PARAM_FIELDS})
-    dims = ModelDims(
-        feat_dim=int(meta["feat_dim"]),
-        map_size=int(meta["map_size"]),
-        hidden_size=int(meta["hidden_size"]),
-        att_size=int(meta["att_size"]),
-    )
+    sizes = {f.name: meta.get(f.name) for f in fields(ModelDims)}
+    bad = [name for name, value in sizes.items() if type(value) is not int]
+    if bad:
+        raise ArtifactMismatchError(f"{path}: checkpoint header lacks integer sizes {bad}")
+    dims = ModelDims(**sizes)
     if params.dims != dims:
         raise ArtifactMismatchError(f"{path}: tensor shapes disagree with recorded sizes")
     return params, dims, meta

@@ -241,24 +241,11 @@ def attention_forward(h_seq: np.ndarray, params: ParamSet) -> AttentionTrace:
     return AttentionTrace(proj=proj, logits=logits, weights=weights, pooled=pooled)
 
 
-def head_forward(
-    pooled: np.ndarray, h_last: np.ndarray, params: ParamSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate [pooled; h_last] and apply the linear head.
+def head_forward(e: np.ndarray, params: ParamSet) -> np.ndarray:
+    """Linear head on a clean or perturbed representation: w_head . e + b_head.
 
-    Returns (e, yhat); the final class is sign(yhat), with 0 -> +1.
+    The final class is sign(yhat), with 0 -> +1.
     """
-    e = np.concatenate([pooled, h_last], axis=-1)
-    if e.shape[-1] != params.w_head.shape[0]:
-        raise ShapeError(
-            f"head expects representation dim {params.w_head.shape[0]}, got {e.shape[-1]}"
-        )
-    yhat = e @ params.w_head + params.b_head
-    return e, yhat
-
-
-def head_confidence(e: np.ndarray, params: ParamSet) -> np.ndarray:
-    """Linear head on an (injected) representation: w_head . e + b_head."""
     e = np.asarray(e, dtype=np.float64)
     if e.shape[-1] != params.w_head.shape[0]:
         raise ShapeError(
@@ -273,7 +260,8 @@ def forward(x: np.ndarray, params: ParamSet) -> ForwardTrace:
     m = map_forward(x, params)
     lstm = lstm_forward(m, params)
     att = attention_forward(lstm.h, params)
-    e, yhat = head_forward(att.pooled, lstm.h[..., -1, :], params)
+    e = np.concatenate([att.pooled, lstm.h[..., -1, :]], axis=-1)
+    yhat = head_forward(e, params)
     if not np.all(np.isfinite(yhat)):
         raise NumericError("forward pass produced non-finite confidence")
     return ForwardTrace(x=x, m=m, lstm=lstm, att=att, e=e, yhat=yhat)

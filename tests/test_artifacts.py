@@ -1,10 +1,13 @@
 import datetime as dt
+import json
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from advalstm.artifacts import (
+    MAGIC,
     file_sha256,
     load_checkpoint,
     load_dataset,
@@ -83,6 +86,32 @@ class TestContainer:
         write_container(p, {}, {"t": np.ones(3)})
         p.write_bytes(p.read_bytes() + b"junk")
         with pytest.raises(ArtifactMismatchError, match="trailing"):
+            read_container(p)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            [1],
+            {"format_version": 1, "tensors": []},
+            {"format_version": 1, "meta": {}, "tensors": 5},
+            {"format_version": 1, "meta": {}, "tensors": [1]},
+            *(
+                {"format_version": 1, "meta": {}, "tensors": [{"name": "t", **entry}]}
+                for entry in (
+                    {"dtype": "|O", "shape": []},
+                    {"dtype": "<f8", "shape": [-1, 0]},
+                    {"dtype": "<f8", "shape": [1.0]},
+                )
+            ),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header):
+        p = tmp_path / "x.bin"
+        raw = json.dumps(header).encode()
+        # Payload for one float64 where the header lists a tensor.
+        payload = b"\x00" * 8 if isinstance(header, dict) and header["tensors"] else b""
+        p.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + payload)
+        with pytest.raises(ArtifactMismatchError):
             read_container(p)
 
 

@@ -1,10 +1,17 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from advalstm.artifacts import load_checkpoint, read_container, save_checkpoint, write_container
+from advalstm.artifacts import (
+    MAGIC,
+    load_checkpoint,
+    read_container,
+    save_checkpoint,
+    write_container,
+)
 from advalstm.cli import main
 from advalstm.config import load_config
 from advalstm.model import init_params
@@ -214,6 +221,26 @@ class TestLag:
         assert run("attack", "--config", str(cfg), str(ckpt)) == 4
 
 
+def rewrite_header(path: Path, edit) -> None:
+    """Apply ``edit`` to a container's parsed JSON header, in place."""
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    (size,) = struct.unpack_from("<I", raw, len(MAGIC))
+    header = json.loads(raw[start : start + size])
+    edit(header)
+    new = json.dumps(header).encode()
+    path.write_bytes(raw[: len(MAGIC)] + struct.pack("<I", len(new)) + new + raw[start + size :])
+
+
+MALFORMED_HEADERS = {
+    "no_feat_dim": lambda h: h["meta"].pop("feat_dim"),
+    "hidden_size_not_int": lambda h: h["meta"].update(hidden_size="x"),
+    "tensor_without_name": lambda h: h["tensors"][0].pop("name"),
+    "tensor_without_dtype": lambda h: h["tensors"][0].pop("dtype"),
+    "tensor_without_shape": lambda h: h["tensors"][0].pop("shape"),
+}
+
+
 @pytest.fixture()
 def trained(built):
     cfg, out, base = built
@@ -269,6 +296,17 @@ class TestEval:
         tensors["test_stock_idx"][0] = -1
         write_container(out / "dataset.bin", meta, tensors)
         assert run("eval", "--config", str(cfg), str(ckpt)) == 4
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_checkpoint_header_exits_4(self, built, small_dims, case):
+        cfg, out, base = built
+        ckpt = base / "bad.ckpt"
+        params = init_params(small_dims, np.random.default_rng(0))
+        save_checkpoint(ckpt, params, lag=5, seed=0, mode="normal", best_epoch=0)
+        assert run("eval", "--config", str(cfg), str(ckpt)) == 0
+        rewrite_header(ckpt, MALFORMED_HEADERS[case])
+        assert run("eval", "--config", str(cfg), str(ckpt)) == 4
+        assert run("attack", "--config", str(cfg), str(ckpt)) == 4
 
 
 class TestAttack:

@@ -10,7 +10,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_data_pipeline.py", "02_model_anatomy.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_data_pipeline.py",
+        "02_model_anatomy.py",
+        "03_adversarial_vs_normal.py",
+        "04_robustness_under_attack.py",
+    ],
+)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -9,7 +12,7 @@ from advalstm.model import (
     backward,
     classify,
     forward,
-    head_confidence,
+    head_forward,
     init_params,
     predict,
     softmax,
@@ -17,6 +20,14 @@ from advalstm.model import (
 from advalstm.synthetic import make_regime_examples
 
 from helpers import finite_difference_gradient, max_relative_error
+
+# The benchmark's naive per-window forward, loaded from its file so the
+# oracle stays one piece of code that shares nothing with advalstm.model.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_reference", Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def reference_forward(x, p):
@@ -145,10 +156,10 @@ class TestForward:
         w = np.array([1.0, 1.0, 0.5, 3.0, 2.0, 2.0, 0.0, 0.25])
         p.w_head[...] = w
         p.b_head[...] = 0.5
-        assert head_confidence(e, p) == pytest.approx(float(w @ e) + 0.5)
+        assert head_forward(e, p) == pytest.approx(float(w @ e) + 0.5)
         # 1*1 + 1*0.5 = 1.5 through the weights, plus the 0.5 bias.
         e2 = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        assert head_confidence(e2, p) == pytest.approx(2.0, abs=1e-15)
+        assert head_forward(e2, p) == pytest.approx(2.0, abs=1e-15)
 
     def test_batch_matches_per_example(self, small_params):
         x, _ = make_regime_examples(10, lag=4, seed=0)
@@ -201,7 +212,7 @@ class TestBackward:
 
         def total(p):
             trace = forward(x, p)
-            return float(np.sum(trace.yhat) + np.sum(head_confidence(trace.e + offset, p)))
+            return float(np.sum(trace.yhat) + np.sum(head_forward(trace.e + offset, p)))
 
         trace = forward(x, small_params)
         grads, _ = backward(
@@ -209,3 +220,20 @@ class TestBackward:
         )
         numeric = finite_difference_gradient(total, small_params)
         assert max_relative_error(grads.to_vector(), numeric) < 1e-6
+
+
+class TestForwardOracle:
+    """predict agrees with the naive reference forward to 1e-12."""
+
+    @pytest.mark.parametrize("lag", [1, 5, 15])
+    def test_batch_and_single_windows(self, lag):
+        params = init_params(
+            ModelDims(feat_dim=11, map_size=7, hidden_size=6, att_size=5),
+            np.random.default_rng(lag),
+        )
+        x, _ = make_regime_examples(12, lag=lag, seed=lag)
+        assert reference.max_abs_error(x, params, predict(x, params)) < 1e-12
+        for window in x[:4]:
+            yhat = predict(window, params)
+            assert yhat.shape == ()
+            assert abs(reference.confidence(window, params) - float(yhat)) < 1e-12

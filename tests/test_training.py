@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advalstm.errors import ContractError, DivergenceError, ShapeError
-from advalstm.model import forward, head_confidence, init_params
+from advalstm.model import forward, head_forward, init_params
 from advalstm.synthetic import make_regime_examples
 from advalstm.training import (
     AdamState,
@@ -10,8 +10,6 @@ from advalstm.training import (
     adam_step,
     adversarial_perturbations,
     attacked_confidences,
-    gen_adversarial,
-    gen_random_perturbation,
     hinge_grad,
     hinge_loss,
     objective_adversarial,
@@ -92,13 +90,19 @@ class TestNormalObjective:
         assert max_relative_error(grads.to_vector(), numeric) < 1e-4
 
 
+def fast_gradient(e, y, params, eps):
+    """adversarial_perturbations on a 1-row batch: (e + r, r, mask)."""
+    e = np.asarray(e, dtype=np.float64)
+    r, mask = adversarial_perturbations(head_forward(e[None], params), np.array([y]), params, eps)
+    return e + r[0], r[0], bool(mask[0])
+
+
 class TestAdversarialGeneration:
     def test_norm_and_direction(self, small_params):
         e = np.zeros(8)
         y = 1.0
-        out = gen_adversarial(e, y, small_params, eps=0.05)
-        assert out is not None
-        e_adv, r = out
+        e_adv, r, active = fast_gradient(e, y, small_params, eps=0.05)
+        assert active
         assert np.linalg.norm(r) == pytest.approx(0.05, abs=1e-12)
         w = small_params.w_head
         np.testing.assert_allclose(r, -0.05 * y * w / np.linalg.norm(w), atol=1e-15)
@@ -109,30 +113,33 @@ class TestAdversarialGeneration:
         w_norm = np.linalg.norm(small_params.w_head)
         for y in (-1.0, 1.0):
             e = 0.1 * rng.standard_normal(8)
-            out = gen_adversarial(e, y, small_params, eps=0.3)
-            e_adv, _ = out
-            clean = y * head_confidence(e, small_params)
-            attacked = y * head_confidence(e_adv, small_params)
+            e_adv, _, _ = fast_gradient(e, y, small_params, eps=0.3)
+            clean = y * head_forward(e, small_params)
+            attacked = y * head_forward(e_adv, small_params)
             assert attacked == pytest.approx(clean - 0.3 * w_norm, rel=1e-12)
 
     def test_inactive_hinge_returns_none(self, small_params):
         # Push the representation far along +w so y=+1 has margin > 1.
         w = small_params.w_head
         e = 2.0 * w / np.dot(w, w) * (1.0 - float(small_params.b_head) + 1.0)
-        assert 1.0 * head_confidence(e, small_params) >= 1.0
-        assert gen_adversarial(e, 1.0, small_params, eps=0.1) is None
+        assert 1.0 * head_forward(e, small_params) >= 1.0
+        _, r, active = fast_gradient(e, 1.0, small_params, eps=0.1)
+        assert not active
+        np.testing.assert_array_equal(r, np.zeros(8))
 
     def test_degenerate_head_returns_none(self, small_params):
         p = small_params.copy()
         p.w_head[...] = 0.0
         p.b_head[...] = 0.0
-        assert gen_adversarial(np.zeros(8), 1.0, p, eps=0.1) is None
+        _, r, active = fast_gradient(np.zeros(8), 1.0, p, eps=0.1)
+        assert not active
+        np.testing.assert_array_equal(r, np.zeros(8))
 
     def test_contract_errors(self, small_params):
         with pytest.raises(ContractError):
-            gen_adversarial(np.zeros(8), 1.0, small_params, eps=-1.0)
+            fast_gradient(np.zeros(8), 1.0, small_params, eps=-1.0)
         with pytest.raises(ContractError):
-            gen_adversarial(np.zeros(8), 0.0, small_params, eps=0.1)
+            fast_gradient(np.zeros(8), 0.0, small_params, eps=0.1)
 
     def test_batch_mask_and_rows(self, small_params, small_batch):
         x, y = small_batch
@@ -149,13 +156,12 @@ class TestAdversarialGeneration:
         for _ in range(20):
             e = 0.3 * rng.standard_normal(8)
             y = float(rng.choice([-1.0, 1.0]))
-            out = gen_adversarial(e, y, small_params, eps)
-            if out is None:
+            e_adv, _, active = fast_gradient(e, y, small_params, eps)
+            if not active:
                 continue
-            e_adv, _ = out
-            worst = hinge_loss(y, head_confidence(e_adv, small_params))
+            worst = hinge_loss(y, head_forward(e_adv, small_params))
             directions = sphere_noise((100, 8), eps, rng)
-            others = hinge_loss(y, head_confidence(e + directions, small_params))
+            others = hinge_loss(y, head_forward(e + directions, small_params))
             assert np.all(worst >= others - 1e-12)
 
 
@@ -163,14 +169,18 @@ class TestRandomPerturbation:
     def test_norm(self):
         rng = np.random.default_rng(0)
         e = np.zeros(6)
-        out = gen_random_perturbation(e, 0.4, rng)
+        out = e + sphere_noise(e.shape, 0.4, rng)
         assert np.linalg.norm(out - e) == pytest.approx(0.4, abs=1e-12)
 
     def test_zero_scale_is_identity(self):
         rng = np.random.default_rng(0)
         e = np.array([1.0, -2.0, 3.0])
-        out = gen_random_perturbation(e, 0.0, rng)
+        out = e + sphere_noise(e.shape, 0.0, rng)
         np.testing.assert_array_equal(out, e)
+
+    def test_negative_scale_rejected(self):
+        with pytest.raises(ContractError):
+            sphere_noise((2, 3), -0.1, np.random.default_rng(0))
 
     def test_sphere_mean_vanishes(self):
         rng = np.random.default_rng(3)
@@ -204,7 +214,7 @@ class TestAdversarialObjective:
         x, y = small_batch
         trace = forward(x, small_params)
         r, mask = adversarial_perturbations(trace.yhat, y, small_params, 0.05)
-        yhat_adv = head_confidence(trace.e + r, small_params)
+        yhat_adv = head_forward(trace.e + r, small_params)
         assert margins_clear_of_kink(y, trace.yhat)
         assert margins_clear_of_kink(y[mask], yhat_adv[mask])
         _, grads = objective_adversarial_frozen(x, y, small_params, r, mask, 0.01, 0.5)
