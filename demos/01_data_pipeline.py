@@ -21,14 +21,16 @@ records = ingest_eod(work)
 first = records[symbols[0]][0]
 print("first record:", first.date, "close", first.close, "volume", first.volume)
 
-# align: intersect trading calendars, drop stocks with poor coverage
+# align: intersect trading calendars, drop stocks with poor coverage, and
+# stack what is left into one (stocks, days, price columns) panel
 aligned = align_trading_days(records, min_coverage=0.98)
-print("aligned", len(aligned.series), "stocks over", len(aligned.calendar), "days,",
-      "dropped", aligned.dropped)
+print("aligned", len(aligned.stocks), "stocks over", len(aligned.calendar), "days,",
+      "dropped", aligned.dropped, "- price panel", aligned.prices.shape)
 
-# features: 11 numbers per stock-day; ratios, so price scale cancels out
-series = aligned.series[symbols[0]]
-feats = compute_features(series, 40)
+# features: 11 numbers per stock-day, computed for the whole panel at once;
+# ratios, so price scale cancels out
+s = aligned.stocks.index(symbols[0])
+feats = compute_features(aligned.prices)[s, 40]
 print("feature vector on day 40:")
 print(np.array2string(feats, precision=4))
 
@@ -51,8 +53,7 @@ for name in ("train", "val", "test"):
 
 # each row remembers where it came from: an index into the sorted stocks
 # and one into the trading calendar
-stocks = sorted(aligned.series)
 train = splits.train
-print("first train example:", stocks[train.stock_idx[0]],
+print("first train example:", aligned.stocks[train.stock_idx[0]],
       "anchored at", aligned.calendar[train.anchor_idx[0]],
       "label", train.labels[0], f"movement {train.movement[0]:+.4%}")

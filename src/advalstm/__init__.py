@@ -40,6 +40,7 @@ from .market_data import (
     FEATURE_DIM,
     FEATURE_NAMES,
     MIN_HISTORY,
+    PRICE_COLUMNS,
     AlignedData,
     DatasetSplits,
     EodRecord,

@@ -28,28 +28,29 @@ class IndicatorConfig:
             raise ContractError(f"mr_window must be >= 2, got {self.mr_window}")
 
 
-def _sign_pos(x: float) -> int:
-    return 1 if x >= 0 else -1
-
-
-def mom_predict(adj_close: np.ndarray, t: int, window: int = 10) -> int:
-    """+1 if the price rose over the last ``window`` days, else -1."""
+def _trailing(adj_close, stock, t, days: int, what: str) -> np.ndarray:
+    """Row i: stock ``stock[i]``'s adjusted closes over the ``days`` days
+    ending at day ``t[i]``; WindowError where day ``t[i]`` has fewer."""
     adj_close = np.asarray(adj_close, dtype=np.float64)
-    if t < window or t >= adj_close.shape[0]:
+    t = np.asarray(t)
+    short = t[(t < days - 1) | (t >= adj_close.shape[1])]
+    if short.size:
         raise WindowError(
-            f"momentum at index {t} needs {window} prior days "
-            f"in a series of length {adj_close.shape[0]}"
+            f"{what} at index {short[0]} needs {days - 1} prior days "
+            f"in a series of length {adj_close.shape[1]}"
         )
-    return _sign_pos(float(adj_close[t] - adj_close[t - window]))
+    return adj_close[np.asarray(stock)[:, None], t[:, None] + np.arange(1 - days, 1)]
 
 
-def mr_predict(adj_close: np.ndarray, t: int, window: int = 30) -> int:
-    """-1 if the price sits above its trailing ``window``-day mean, else +1."""
-    adj_close = np.asarray(adj_close, dtype=np.float64)
-    if t < window - 1 or t >= adj_close.shape[0]:
-        raise WindowError(
-            f"mean reversion at index {t} needs {window} days of history "
-            f"in a series of length {adj_close.shape[0]}"
-        )
-    mean = float(np.mean(adj_close[t - window + 1 : t + 1]))
-    return _sign_pos(-(float(adj_close[t]) - mean))
+def mom_predict(adj_close: np.ndarray, stock, t, window: int = 10) -> np.ndarray:
+    """Per row, +1 if stock ``stock[i]`` rose over the ``window`` days up
+    to day ``t[i]``, else -1.  ``adj_close`` is (n_stocks, n_days)."""
+    block = _trailing(adj_close, stock, t, window + 1, "momentum")
+    return np.where(block[:, -1] >= block[:, 0], 1, -1)
+
+
+def mr_predict(adj_close: np.ndarray, stock, t, window: int = 30) -> np.ndarray:
+    """Per row, -1 if stock ``stock[i]`` sits above its trailing
+    ``window``-day mean on day ``t[i]``, else +1."""
+    block = _trailing(adj_close, stock, t, window, "mean reversion")
+    return np.where(block[:, -1] <= block.mean(axis=1), 1, -1)

@@ -26,12 +26,9 @@ from .errors import (
     ArtifactMismatchError,
     ConfigError,
     ContractError,
-    DataError,
     DivergenceError,
     NumericError,
-    ParseError,
     ShapeError,
-    WindowError,
 )
 from .evaluation import accuracy, confidence_histogram, mcc, multi_run_report, rpd
 from .gridsearch import grid_search
@@ -75,14 +72,6 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _aligned_adj_close(aligned) -> tuple[list[str], np.ndarray]:
-    stocks = sorted(aligned.series)
-    matrix = np.array(
-        [[rec.adj_close for rec in aligned.series[s]] for s in stocks], dtype=np.float64
-    )
-    return stocks, matrix
-
-
 def cmd_build(args) -> int:
     config = _load_run_config(args)
     if not config.data_path:
@@ -93,16 +82,15 @@ def cmd_build(args) -> int:
     series = ingest_eod(config.data_path)
     aligned = align_trading_days(series, min_coverage=config.min_coverage)
     splits = label_and_window(aligned, spec)
-    stocks, adj_close = _aligned_adj_close(aligned)
 
     dataset_path = out / DATASET_FILE
     artifacts.save_dataset(
         dataset_path,
         splits,
         spec,
-        stocks=stocks,
+        stocks=aligned.stocks,
         calendar=aligned.calendar,
-        adj_close=adj_close,
+        adj_close=aligned.adj_close,
         dropped=aligned.dropped,
     )
     sha = artifacts.file_sha256(dataset_path)
@@ -115,7 +103,7 @@ def cmd_build(args) -> int:
             "dataset_sha256": sha,
             "split_sizes": counts,
             "positive_fraction": balance,
-            "stocks": stocks,
+            "stocks": aligned.stocks,
             "dropped": aligned.dropped,
         },
     )
@@ -239,19 +227,6 @@ def _test_arrays(dataset, meta: dict) -> tuple[np.ndarray, np.ndarray]:
     return x_test, y_test
 
 
-def _baseline_predictions(dataset, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    indicators = config.indicator_config()
-    s_idx = dataset.splits.test.stock_idx
-    a_idx = dataset.splits.test.anchor_idx
-    mom = np.empty(s_idx.size, dtype=np.int64)
-    mr = np.empty(s_idx.size, dtype=np.int64)
-    for i in range(s_idx.size):
-        series = dataset.adj_close[s_idx[i]]
-        mom[i] = baselines.mom_predict(series, int(a_idx[i]), indicators.mom_window)
-        mr[i] = baselines.mr_predict(series, int(a_idx[i]), indicators.mr_window)
-    return mom, mr
-
-
 def _ri_percent(model_score: float, baseline_score: float) -> float | None:
     """Relative improvement of the model over a baseline, in percent."""
     if baseline_score <= 0:
@@ -273,7 +248,11 @@ def cmd_eval(args) -> int:
     x_test, y_test = _test_arrays(dataset, meta)
     yhat = predict(x_test, params)
     pred = classify(yhat)
-    mom_pred, mr_pred = _baseline_predictions(dataset, config)
+    test = dataset.splits.test
+    indicators = config.indicator_config()
+    test_rows = (dataset.adj_close, test.stock_idx, test.anchor_idx)
+    mom_pred = baselines.mom_predict(*test_rows, indicators.mom_window)
+    mr_pred = baselines.mr_predict(*test_rows, indicators.mr_window)
 
     scores = {
         "mom": (accuracy(y_test, mom_pred), mcc(y_test, mom_pred)),
@@ -288,7 +267,6 @@ def cmd_eval(args) -> int:
     rows = [(name, acc_val, mcc_val) for name, (acc_val, mcc_val) in scores.items()]
     rows.append(("ri_pct", ri_acc, ri_mcc))
     artifacts.write_metrics_csv(out / "metrics.csv", rows)
-    test = dataset.splits.test
     dates = [d.isoformat() for d in dataset.calendar]
     artifacts.write_predictions_csv(
         out / "predictions.csv",
@@ -422,17 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (
-        ConfigError,
-        ParseError,
-        DataError,
-        WindowError,
-        ContractError,
-        AdvAlstmError,
-        FileNotFoundError,
-        NotADirectoryError,
-        PermissionError,
-    ) as exc:
+    except (AdvAlstmError, FileNotFoundError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,9 +1,11 @@
 """End-of-day market data pipeline.
 
 Raw per-stock price rows go through four stages: ingestion (CSV ->
-validated, date-sorted series), trading-day alignment (intersection
-calendar across stocks), feature computation (11 price ratios per day),
-and labeling/windowing (lag windows with next-day movement labels,
+validated, date-sorted series of records, ragged across stocks),
+trading-day alignment (intersection calendar across stocks, stored as
+one dense (stocks, days, price column) panel), feature computation (11
+price ratios for every stock-day of the panel at once), and
+labeling/windowing (lag windows with next-day movement labels,
 partitioned into temporal train/val/test splits).
 
 All prices are taken as given; adjusted close is used for movement
@@ -14,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
+import operator
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -27,12 +30,13 @@ from .errors import (
     DataError,
     EmptySplitWarning,
     MarketSemanticsWarning,
-    NumericError,
     ParseError,
-    WindowError,
 )
 
 CSV_COLUMNS = ("stock", "date", "open", "high", "low", "close", "adj_close", "volume")
+
+# Last axis of AlignedData.prices.
+PRICE_COLUMNS = ("open", "high", "low", "close", "adj_close")
 
 FEATURE_NAMES = (
     "c_open",
@@ -108,11 +112,18 @@ class SplitSpec:
 
 @dataclass
 class AlignedData:
-    """Result of trading-day alignment."""
+    """Result of trading-day alignment: one price per stock, calendar
+    day and PRICE_COLUMNS entry."""
 
+    stocks: list[str]       # sorted
     calendar: list[dt.date]
-    series: dict[str, list[EodRecord]]
+    prices: np.ndarray      # (n_stocks, n_days, len(PRICE_COLUMNS)) float64
     dropped: list[str] = field(default_factory=list)
+
+    @property
+    def adj_close(self) -> np.ndarray:
+        """(n_stocks, n_days) view of the adjusted closes."""
+        return self.prices[:, :, PRICE_COLUMNS.index("adj_close")]
 
 
 @dataclass(frozen=True)
@@ -129,18 +140,6 @@ class SplitArrays:
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
-
-    @classmethod
-    def concat(cls, parts: Sequence["SplitArrays"], lag: int) -> "SplitArrays":
-        if not parts:
-            return cls(
-                windows=np.zeros((0, lag, FEATURE_DIM), dtype=np.float64),
-                labels=np.zeros((0,), dtype=np.int8),
-                movement=np.zeros((0,), dtype=np.float64),
-                stock_idx=np.zeros((0,), dtype=np.int32),
-                anchor_idx=np.zeros((0,), dtype=np.int32),
-            )
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -169,22 +168,23 @@ def _parse_row(row: dict, path: str, line_no: int) -> tuple[str, EodRecord]:
     except (ValueError, AttributeError) as exc:
         raise ParseError(f"{path}:{line_no}: bad date {row.get('date')!r}: {exc}") from exc
     values = {}
-    for col in ("open", "high", "low", "close", "adj_close", "volume"):
+    for col in (*PRICE_COLUMNS, "volume"):
         try:
             values[col] = float(row[col])
         except (TypeError, ValueError) as exc:
             raise ParseError(
                 f"{path}:{line_no}: column {col!r} is not a number: {row.get(col)!r}"
             ) from exc
-    for col in ("open", "high", "low", "close", "adj_close"):
-        if not np.isfinite(values[col]) or values[col] <= 0.0:
-            raise DataError(
-                f"{path}:{line_no}: non-positive {col}={values[col]} for {stock} on {date}"
-            )
-    if not np.isfinite(values["volume"]) or values["volume"] < 0.0:
-        raise DataError(
-            f"{path}:{line_no}: negative volume={values['volume']} for {stock} on {date}"
-        )
+    for col, value in values.items():
+        if not math.isfinite(value):
+            problem = "non-finite"
+        elif col == "volume" and value < 0.0:
+            problem = "negative"
+        elif col != "volume" and value <= 0.0:
+            problem = "non-positive"
+        else:
+            continue
+        raise DataError(f"{path}:{line_no}: {problem} {col}={value} for {stock} on {date}")
     return stock, EodRecord(date=date, **values)
 
 
@@ -245,11 +245,14 @@ def align_trading_days(
     series_by_stock: dict[str, list[EodRecord]],
     min_coverage: float = 0.98,
 ) -> AlignedData:
-    """Restrict every stock to the dates present in all stocks.
+    """Restrict every stock to the dates present in all stocks and stack
+    the survivors into one price panel.
 
-    Stocks covering less than ``min_coverage`` of the union of dates are
-    dropped before intersecting, so one patchy series cannot wipe out
-    the calendar.  Raises AlignmentError when nothing survives.
+    ``series_by_stock`` holds date-sorted series with one record per
+    date, as ``ingest_eod`` returns them.  Stocks covering less than
+    ``min_coverage`` of the union of dates are dropped before
+    intersecting, so one patchy series cannot wipe out the calendar.
+    Raises AlignmentError when nothing survives.
     """
     if not series_by_stock:
         raise ContractError("align_trading_days needs at least one stock series")
@@ -271,16 +274,18 @@ def align_trading_days(
         raise AlignmentError("no trading day is shared by all retained stocks")
     calendar = sorted(common)
 
-    aligned = {
-        s: [r for r in series_by_stock[s] if r.date in common] for s in kept
-    }
-    return AlignedData(calendar=calendar, series=aligned, dropped=dropped)
+    row = operator.attrgetter(*PRICE_COLUMNS)
+    rows = [row(r) for s in kept for r in series_by_stock[s] if r.date in common]
+    prices = np.array(rows, dtype=np.float64).reshape(len(kept), len(calendar), len(PRICE_COLUMNS))
+    return AlignedData(stocks=kept, calendar=calendar, prices=prices, dropped=dropped)
 
 
-def compute_features(series: Sequence[EodRecord], t: int) -> np.ndarray:
-    """Compute the 11 feature ratios for day index ``t`` of one series.
+@np.errstate(over="ignore", invalid="ignore")
+def compute_features(prices: np.ndarray) -> np.ndarray:
+    """The 11 feature ratios of every stock-day of a price panel.
 
-    In FEATURE_NAMES order:
+    ``prices`` is (n_stocks, n_days, len(PRICE_COLUMNS)); the result is
+    (n_stocks, n_days, FEATURE_DIM), in FEATURE_NAMES order:
 
       c_open      open_t / close_t - 1        (c_high, c_low likewise)
       n_close     close_t / close_{t-1} - 1
@@ -288,28 +293,28 @@ def compute_features(series: Sequence[EodRecord], t: int) -> np.ndarray:
       k-day       (mean of adj_close over last k days) / adj_close_t - 1
                   for k in 5, 10, 15, 20, 25, 30
 
-    Requires MIN_HISTORY days up to and including ``t``.
+    A day needs MIN_HISTORY days up to and including itself; earlier
+    days are NaN.  Overflow yields inf or NaN without a warning.
     """
-    if t >= len(series):
-        raise WindowError(f"day index {t} out of range for series of length {len(series)}")
-    if t < MIN_HISTORY - 1:
-        raise WindowError(
-            f"day index {t} has only {t + 1} days of history, need {MIN_HISTORY}"
-        )
-    rec, prev = series[t], series[t - 1]
-    feats = [
-        rec.open / rec.close - 1.0,
-        rec.high / rec.close - 1.0,
-        rec.low / rec.close - 1.0,
-        rec.close / prev.close - 1.0,
-        rec.adj_close / prev.adj_close - 1.0,
-    ]
-    for k in MOVING_AVERAGE_DAYS:
-        avg = sum(series[t - i].adj_close for i in range(k)) / k
-        feats.append(avg / rec.adj_close - 1.0)
-    out = np.array(feats, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"non-finite feature at day index {t}")
+    open_, high, low, close, adj = np.moveaxis(np.asarray(prices, dtype=np.float64), -1, 0)
+    n_stocks, n_days = close.shape
+    out = np.full((n_stocks, n_days, FEATURE_DIM), np.nan)
+    if n_days < MIN_HISTORY:
+        return out
+    t, prev = slice(MIN_HISTORY - 1, None), slice(MIN_HISTORY - 2, -1)
+    for j, column in enumerate((open_, high, low)):
+        out[:, t, j] = column[:, t] / close[:, t] - 1.0
+    out[:, t, 3] = close[:, t] / close[:, prev] - 1.0
+    out[:, t, 4] = adj[:, t] / adj[:, prev] - 1.0
+    # adj_t + adj_{t-1} + ... in that order, the summation order of the
+    # per-day definition, so every mean is bit-identical to it.
+    total = np.zeros((n_stocks, n_days - MIN_HISTORY + 1))
+    summed = 0
+    for j, k in enumerate(MOVING_AVERAGE_DAYS, start=5):
+        for i in range(summed, k):
+            total += adj[:, MIN_HISTORY - 1 - i : n_days - i]
+        summed = k
+        out[:, t, j] = total / k / adj[:, t] - 1.0
     return out
 
 
@@ -320,44 +325,38 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
     adjusted-close change; windows strictly between the thresholds are
     discarded everywhere (they exist in no split).  Rows are ordered by
     stock (sorted), then anchor day.  An empty split is a warning, not
-    an error.
+    an error.  Raises DataError when a window reads a non-finite
+    feature, which extreme price ratios overflow to.
     """
-    parts: dict[str, list[SplitArrays]] = {name: [] for name in SPLIT_NAMES}
+    feats = compute_features(aligned.prices)
+    adj = aligned.adj_close
+    anchors = np.arange(MIN_HISTORY - 1 + spec.lag - 1, len(aligned.calendar) - 1)
+    movement = adj[:, anchors + 1] / adj[:, anchors] - 1.0
+    labels = np.where(movement >= spec.pos_threshold, 1,
+                      np.where(movement <= spec.neg_threshold, -1, 0)).astype(np.int8)
     bounds = [d.toordinal() for d in (spec.train_end, spec.val_end, spec.test_end)]
-    first_anchor = MIN_HISTORY - 1 + spec.lag - 1
-    for s_idx, stock in enumerate(sorted(aligned.series)):
-        records = aligned.series[stock]
-        n = len(records)
-        if n < first_anchor + 2:
-            continue
-        feats = np.full((n, FEATURE_DIM), np.nan)
-        for t in range(MIN_HISTORY - 1, n):
-            feats[t] = compute_features(records, t)
-        t = np.arange(first_anchor, n - 1)
-        adj = np.array([r.adj_close for r in records], dtype=np.float64)
-        movement = adj[t + 1] / adj[t] - 1.0
-        labels = np.where(movement >= spec.pos_threshold, 1,
-                          np.where(movement <= spec.neg_threshold, -1, 0)).astype(np.int8)
-        # 0 train, 1 val, 2 test, 3 past the test end (half-open intervals)
-        bucket = np.searchsorted(bounds, [records[i].date.toordinal() for i in t], side="right")
-        for b, name in enumerate(SPLIT_NAMES):
-            keep = (bucket == b) & (labels != 0)
-            if not keep.any():
-                continue
-            anchors = t[keep]
-            parts[name].append(
-                SplitArrays(
-                    windows=feats[anchors[:, None] + np.arange(1 - spec.lag, 1)],
-                    labels=labels[keep],
-                    movement=movement[keep],
-                    stock_idx=np.full(anchors.size, s_idx, dtype=np.int32),
-                    anchor_idx=anchors.astype(np.int32),
-                )
-            )
-    splits = DatasetSplits(**{name: SplitArrays.concat(parts[name], spec.lag)
-                              for name in SPLIT_NAMES})
-    for name in SPLIT_NAMES:
-        if not len(getattr(splits, name)):
+    # 0 train, 1 val, 2 test, 3 past the test end (half-open intervals)
+    bucket = np.searchsorted(bounds, [aligned.calendar[t].toordinal() for t in anchors],
+                             side="right")
+    offsets = np.arange(1 - spec.lag, 1)
+    splits = {}
+    for b, name in enumerate(SPLIT_NAMES):
+        stock, a = np.nonzero((bucket == b) & (labels != 0))
+        t = anchors[a]
+        windows = feats[stock[:, None], t[:, None] + offsets]
+        bad = ~np.isfinite(windows).all(axis=2)
+        if bad.any():
+            row, j = np.argwhere(bad)[0]
+            raise DataError(f"non-finite feature for {aligned.stocks[stock[row]]} on "
+                            f"{aligned.calendar[t[row] + offsets[j]]}")
+        if not stock.size:
             warnings.warn(f"split {name!r} has no retained examples", EmptySplitWarning,
                           stacklevel=2)
-    return splits
+        splits[name] = SplitArrays(
+            windows=windows,
+            labels=labels[stock, a],
+            movement=movement[stock, a],
+            stock_idx=stock.astype(np.int32),
+            anchor_idx=t.astype(np.int32),
+        )
+    return DatasetSplits(**splits)

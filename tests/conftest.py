@@ -54,3 +54,8 @@ def series_from_closes(closes, start: dt.date = dt.date(2020, 1, 1)):
         )
         for i, c in enumerate(closes)
     ]
+
+
+def price_rows(series) -> np.ndarray:
+    """(n_days, 5) open/high/low/close/adj_close of a list of records."""
+    return np.array([[r.open, r.high, r.low, r.close, r.adj_close] for r in series])

@@ -3,6 +3,8 @@
 The finite-difference gradient here is deliberately dumb: central
 differences on the flattened parameter vector, one coordinate at a
 time.  It shares no code with the analytic backward pass it checks.
+The feature oracle likewise computes one stock-day at a time from the
+definition, sharing no code with the panel computation.
 """
 
 from __future__ import annotations
@@ -39,3 +41,22 @@ def margins_clear_of_kink(y: np.ndarray, yhat: np.ndarray, gap: float = 1e-3) ->
     """True when no example sits within ``gap`` of the hinge kink, where
     the loss is not differentiable and finite differences are unreliable."""
     return bool(np.all(np.abs(y * np.asarray(yhat) - 1.0) > gap))
+
+
+def feature_oracle(rows, t: int) -> np.ndarray:
+    """The 11 features of day ``t`` of one stock, from its price rows
+    (open, high, low, close, adj_close), in FEATURE_NAMES order."""
+    if not 29 <= t < len(rows):
+        raise ValueError(f"day {t} needs 30 days of history in {len(rows)} rows")
+    open_, high, low, close, adj = np.asarray(rows, dtype=np.float64).T.tolist()
+    feats = [
+        open_[t] / close[t] - 1.0,
+        high[t] / close[t] - 1.0,
+        low[t] / close[t] - 1.0,
+        close[t] / close[t - 1] - 1.0,
+        adj[t] / adj[t - 1] - 1.0,
+    ]
+    for k in (5, 10, 15, 20, 25, 30):
+        avg = sum(adj[t - i] for i in range(k)) / k
+        feats.append(avg / adj[t] - 1.0)
+    return np.array(feats)

@@ -180,9 +180,7 @@ def small_dataset():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySplitWarning)
         splits = label_and_window(aligned, spec)
-    stocks = sorted(aligned.series)
-    adj = np.array([[r.adj_close for r in aligned.series[s]] for s in stocks])
-    return splits, spec, stocks, aligned.calendar, adj
+    return splits, spec, aligned.stocks, aligned.calendar, aligned.adj_close
 
 
 class TestDataset:

@@ -88,6 +88,24 @@ class TestBuild:
         assert run("build", "--config", str(c2)) == 0
         assert (out1 / "dataset.bin").read_bytes() == (out2 / "dataset.bin").read_bytes()
 
+    @pytest.mark.parametrize("day, code", [(50, 2), (79, 0)])
+    def test_feature_overflow_is_an_input_error(self, tmp_path, capsys, day, code):
+        # open / close overflows c_open to inf.  Day 50 lies in a window;
+        # day 79 is the last day, which no window reads.
+        prices = tmp_path / "prices"
+        (symbol,) = write_regime_price_csv(prices, n_stocks=1, n_days=80, seed=11)
+        path = prices / f"{symbol}.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1 + day].split(",")
+        cells[2], cells[5] = "1e300", "1e-10"  # open, close
+        lines[1 + day] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == code
+        if code:
+            err = capsys.readouterr().err
+            assert symbol in err and cells[1] in err
+
 
 @pytest.fixture()
 def built(price_dir, tmp_path):

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from advalstm.errors import (
     AlignmentError,
@@ -18,13 +19,13 @@ from advalstm.errors import (
     EmptySplitWarning,
     MarketSemanticsWarning,
     ParseError,
-    WindowError,
 )
 from advalstm.market_data import (
     CSV_COLUMNS,
     FEATURE_DIM,
     FEATURE_NAMES,
     MIN_HISTORY,
+    PRICE_COLUMNS,
     EodRecord,
     SplitSpec,
     align_trading_days,
@@ -33,7 +34,8 @@ from advalstm.market_data import (
     label_and_window,
 )
 
-from conftest import flat_series, series_from_closes
+from conftest import flat_series, price_rows, series_from_closes
+from helpers import feature_oracle
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -85,6 +87,21 @@ class TestIngest:
         with pytest.raises(DataError, match="negative volume"):
             ingest_eod(p)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (f"A,{day(0)},inf,10,10,10,10,1000", "non-finite open=inf"),
+            (f"A,{day(0)},10,10,10,10,-inf,1000", "non-finite adj_close=-inf"),
+            (f"A,{day(0)},10,10,10,10,10,nan", "non-finite volume=nan"),
+        ],
+        ids=["open", "adj_close", "volume"],
+    )
+    def test_non_finite_value(self, tmp_path, row, message):
+        p = tmp_path / "bad.csv"
+        write_csv(p, [row])
+        with pytest.raises(DataError, match=message):
+            ingest_eod(p)
+
     def test_duplicate_date(self, tmp_path):
         p = tmp_path / "dup.csv"
         write_csv(p, [price_row("A", 0, 10), price_row("A", 0, 11)])
@@ -121,7 +138,7 @@ class TestAlign:
         patchy = flat_series(10)
         aligned = align_trading_days({"FULL": full, "PATCHY": patchy}, min_coverage=0.9)
         assert aligned.dropped == ["PATCHY"]
-        assert list(aligned.series) == ["FULL"]
+        assert aligned.stocks == ["FULL"]
         assert len(aligned.calendar) == 100
 
     def test_all_dropped_raises(self):
@@ -137,32 +154,45 @@ class TestAlign:
             align_trading_days({"A": a, "B": b}, min_coverage=0.0)
 
     def test_intersection_calendar(self):
-        a = flat_series(100)
-        b = flat_series(100, start=dt.date(2020, 1, 11))  # 10-day offset
-        aligned = align_trading_days({"A": a, "B": b}, min_coverage=0.5)
+        a = series_from_closes(10.0 + np.arange(100))
+        b = series_from_closes(500.0 + np.arange(100), start=dt.date(2020, 1, 11))  # 10-day offset
+        aligned = align_trading_days({"B": b, "A": a}, min_coverage=0.5)
         assert len(aligned.calendar) == 90
-        for series in aligned.series.values():
-            assert [r.date for r in series] == aligned.calendar
+        assert aligned.stocks == ["A", "B"]
+        assert aligned.prices.shape == (2, 90, len(PRICE_COLUMNS))
+        for prices, series in zip(aligned.prices, (a, b)):
+            on_calendar = [r for r in series if r.date in set(aligned.calendar)]
+            assert [r.date for r in on_calendar] == aligned.calendar
+            np.testing.assert_array_equal(prices, price_rows(on_calendar))
+        np.testing.assert_array_equal(aligned.adj_close, aligned.prices[:, :, 4])
+
+
+PANEL_SHAPE = (3, MIN_HISTORY + 12, len(PRICE_COLUMNS))
+RANDOM_PANEL = np.random.default_rng(0).uniform(0.01, 1000.0, PANEL_SHAPE)
+
+
+def features(series) -> np.ndarray:
+    """compute_features of a one-stock panel: (n_days, FEATURE_DIM)."""
+    return compute_features(price_rows(series)[None])[0]
 
 
 class TestFeatures:
     def test_needs_min_history(self):
         series = flat_series(MIN_HISTORY + 5)
-        with pytest.raises(WindowError):
-            compute_features(series, MIN_HISTORY - 2)
-        with pytest.raises(WindowError):
-            compute_features(series, len(series))
-        compute_features(series, MIN_HISTORY - 1)  # first valid day
+        feats = features(series)
+        assert np.isnan(feats[: MIN_HISTORY - 1]).all()
+        assert feats.shape[0] == len(series)
+        assert np.isfinite(feats[MIN_HISTORY - 1]).all()  # first valid day
 
     def test_constant_series_gives_zero_vector(self):
-        feats = compute_features(flat_series(40), 35)
+        feats = features(flat_series(40))[35]
         assert feats.shape == (FEATURE_DIM,)
         np.testing.assert_array_equal(feats, np.zeros(FEATURE_DIM))
 
     def test_five_day_average_hand_case(self):
         # Last five adjusted closes are 5,5,5,5,10: mean 6, 6/10-1 = -0.4.
         closes = [5.0] * 34 + [10.0]
-        feats = compute_features(series_from_closes(closes), 34)
+        feats = features(series_from_closes(closes))[34]
         idx = FEATURE_NAMES.index("5-day")
         assert feats[idx] == pytest.approx(-0.4, abs=1e-15)
 
@@ -180,7 +210,7 @@ class TestFeatures:
             volume=1.0,
         )
         series[29] = crafted
-        feats = compute_features(series, 29)
+        feats = features(series)[29]
         # Hand-computed, in FEATURE_NAMES order.
         def kday(k):
             return ((8.0 * (k - 1) + 10.0) / k) / 10.0 - 1.0
@@ -202,9 +232,27 @@ class TestFeatures:
 
     def test_scale_invariance(self):
         closes = list(10.0 + np.abs(np.sin(np.arange(40))) * 3.0)
-        base = compute_features(series_from_closes(closes), 35)
-        scaled = compute_features(series_from_closes([c * 7.5 for c in closes]), 35)
+        base = features(series_from_closes(closes))[35]
+        scaled = features(series_from_closes([c * 7.5 for c in closes]))[35]
         np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prices=arrays(np.float64, PANEL_SHAPE, elements=st.floats(0.01, 1000.0)),
+        n_stocks=st.integers(1, PANEL_SHAPE[0]),
+        n_days=st.integers(1, PANEL_SHAPE[1]),
+    )
+    @example(prices=RANDOM_PANEL, n_stocks=2, n_days=MIN_HISTORY - 1)
+    @example(prices=RANDOM_PANEL, n_stocks=2, n_days=MIN_HISTORY)
+    @example(prices=RANDOM_PANEL, n_stocks=2, n_days=MIN_HISTORY + 1)
+    def test_panel_matches_oracle(self, prices, n_stocks, n_days):
+        prices = prices[:n_stocks, :n_days]
+        feats = compute_features(prices)
+        assert feats.shape == (n_stocks, n_days, FEATURE_DIM)
+        for s in range(n_stocks):
+            assert np.isnan(feats[s, : MIN_HISTORY - 1]).all()
+            for t in range(MIN_HISTORY - 1, n_days):
+                assert feats[s, t].tobytes() == feature_oracle(prices[s], t).tobytes()
 
 
 def make_spec(lag=2, **kw):
@@ -271,11 +319,10 @@ class TestLabelAndWindow:
         spec = make_spec(lag=4)
         splits = label_and_window(aligned, spec)
         window = splits.val.windows[0]
-        series = aligned.series["A"]
         t = splits.val.anchor_idx[0]
         for offset in range(4):
             np.testing.assert_array_equal(
-                window[offset], compute_features(series, t - 3 + offset)
+                window[offset], feature_oracle(aligned.prices[0], t - 3 + offset)
             )
 
     def test_neutral_movements_dropped(self):
@@ -398,7 +445,8 @@ class TestColumnarBuild:
                 movement = records[t + 1].adj_close / records[t].adj_close - 1.0
                 if spec.neg_threshold < movement < spec.pos_threshold:
                     continue
-                window = np.stack([compute_features(records, d) for d in range(t - 3, t + 1)])
+                rows = price_rows(records)
+                window = np.stack([feature_oracle(rows, d) for d in range(t - 3, t + 1)])
                 expected[name].append((s_idx, t, 1 if movement > 0 else -1, movement, window))
         for name, rows in expected.items():
             got = getattr(splits, name)
