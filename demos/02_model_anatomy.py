@@ -15,7 +15,8 @@ trace = forward(x, params)
 # stage 1: each day's 11 features -> tanh feature mapping (batch, lag, map)
 print("mapped inputs:", trace.m.shape)
 
-# stage 2: an LSTM walks the window; h_seq stacks every hidden state
+# stage 2: an LSTM walks the window, writing each hidden state into
+# (batch, lag, hidden) as it goes
 print("hidden states:", trace.lstm.h.shape)
 
 # stage 3: attention scores each day and mixes the hidden states;

@@ -308,8 +308,8 @@ def cmd_attack(args) -> int:
         eps = config.attack_scale
     else:
         eps = float(meta.get("adv_scale", 0.0))
-    if eps < 0:
-        raise ConfigError(f"attack scale must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise ConfigError(f"attack scale must be finite and >= 0, got {eps}")
 
     x_test, y_test = _test_arrays(dataset, meta)
     clean_yhat, attacked_yhat = attacked_confidences(x_test, y_test, params, eps)

@@ -10,6 +10,7 @@ any work starts.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -160,9 +161,12 @@ def _parse_int(value: str) -> int:
 
 def _parse_float(value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"expected number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_mode(value: str) -> str:

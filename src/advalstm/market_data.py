@@ -318,6 +318,7 @@ def compute_features(prices: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")
 def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
     """Build labeled lag windows and assign them to splits.
 
@@ -326,7 +327,8 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
     discarded everywhere (they exist in no split).  Rows are ordered by
     stock (sorted), then anchor day.  An empty split is a warning, not
     an error.  Raises DataError when a window reads a non-finite
-    feature, which extreme price ratios overflow to.
+    feature or a retained row's movement is non-finite, which extreme
+    price ratios overflow to.
     """
     feats = compute_features(aligned.prices)
     adj = aligned.adj_close
@@ -349,6 +351,11 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
             row, j = np.argwhere(bad)[0]
             raise DataError(f"non-finite feature for {aligned.stocks[stock[row]]} on "
                             f"{aligned.calendar[t[row] + offsets[j]]}")
+        bad_move = np.flatnonzero(~np.isfinite(movement[stock, a]))
+        if bad_move.size:
+            row = bad_move[0]
+            raise DataError(f"non-finite next-day movement for {aligned.stocks[stock[row]]} "
+                            f"on {aligned.calendar[t[row]]}")
         if not stock.size:
             warnings.warn(f"split {name!r} has no retained examples", EmptySplitWarning,
                           stacklevel=2)

@@ -13,7 +13,9 @@ Architecture, for one example with a lag window ``x`` of shape (T, D):
 Every function broadcasts over leading batch axes, so the same code
 path serves a single (T, D) window and a batch (B, T, D).  All math is
 float64; backward passes are exact adjoints of the forward code and are
-validated against central finite differences in the test suite.
+validated against central finite differences in the test suite.  The LSTM
+trace is time-major, (T, ..., width), allocated once and filled in place
+step by step; only h is batch-major, (..., T, hidden), as attention reads it.
 """
 
 from __future__ import annotations
@@ -151,16 +153,16 @@ def init_params(dims: ModelDims, rng: np.random.Generator) -> ParamSet:
 
 @dataclass
 class LstmTrace:
-    """Cached LSTM activations, all (..., T, hidden) except z."""
+    """Cached LSTM activations, time-major (T, ..., width) except h."""
 
-    z: np.ndarray       # (..., T, map + hidden) gate inputs [m_t; h_{t-1}]
+    z: np.ndarray       # (T, ..., map + hidden) gate inputs [m_t; h_{t-1}]
     gate_i: np.ndarray
     gate_f: np.ndarray
     gate_o: np.ndarray
     gate_g: np.ndarray
     c: np.ndarray
     tanh_c: np.ndarray
-    h: np.ndarray
+    h: np.ndarray       # (..., T, hidden), batch-major for attention and e
 
 
 @dataclass
@@ -203,28 +205,26 @@ def lstm_forward(m: np.ndarray, params: ParamSet) -> LstmTrace:
     """Run the LSTM over (..., T, map) starting from h_0 = c_0 = 0."""
     m = np.asarray(m, dtype=np.float64)
     u = params.w_i.shape[0]
-    if m.shape[-1] + u != params.w_i.shape[1]:
-        raise ShapeError(
-            f"LSTM expects input width {params.w_i.shape[1] - u}, got {m.shape[-1]}"
-        )
-    steps = m.shape[-2]
-    lead = m.shape[:-2]
-    h = np.zeros(lead + (u,))
-    c = np.zeros(lead + (u,))
-    cache = {k: [] for k in ("z", "gate_i", "gate_f", "gate_o", "gate_g", "c", "tanh_c", "h")}
+    *lead, steps, e_map = m.shape
+    if e_map + u != params.w_i.shape[1]:
+        raise ShapeError(f"LSTM expects input width {params.w_i.shape[1] - u}, got {e_map}")
+    z = np.empty((steps, *lead, e_map + u))
+    z[..., :e_map] = np.moveaxis(m, -2, 0)
+    i, f, o, g, c, tanh_c = (np.empty((steps, *lead, u)) for _ in range(6))
+    h = np.empty((*lead, steps, u))
+    layers = ((i, params.w_i, params.b_i, sigmoid), (f, params.w_f, params.b_f, sigmoid),
+              (o, params.w_o, params.b_o, sigmoid), (g, params.w_g, params.b_g, np.tanh))
     for t in range(steps):
-        z = np.concatenate([m[..., t, :], h], axis=-1)
-        i = sigmoid(z @ params.w_i.T + params.b_i)
-        f = sigmoid(z @ params.w_f.T + params.b_f)
-        o = sigmoid(z @ params.w_o.T + params.b_o)
-        g = np.tanh(z @ params.w_g.T + params.b_g)
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        for key, val in zip(cache, (z, i, f, o, g, c, tc, h)):
-            cache[key].append(val)
-    stacked = {k: np.stack(v, axis=-2) for k, v in cache.items()}
-    return LstmTrace(**stacked)
+        z[t, ..., e_map:] = h[..., t - 1, :] if t else 0.0
+        for gate, w, b, act in layers:
+            np.matmul(z[t], w.T, out=gate[t])
+            gate[t] += b
+            act(gate[t], out=gate[t])
+        np.multiply(f[t], c[t - 1] if t else 0.0, out=c[t])
+        c[t] += i[t] * g[t]
+        np.tanh(c[t], out=tanh_c[t])
+        np.multiply(o[t], tanh_c[t], out=h[..., t, :])
+    return LstmTrace(z=z, gate_i=i, gate_f=f, gate_o=o, gate_g=g, c=c, tanh_c=tanh_c, h=h)
 
 
 def attention_forward(h_seq: np.ndarray, params: ParamSet) -> AttentionTrace:
@@ -362,13 +362,13 @@ def _backward_from_e(
     d_c_next = np.zeros_like(d_h_last)
     d_m = np.zeros_like(trace.m)
     for t in reversed(range(steps)):
-        i = lt.gate_i[..., t, :]
-        f = lt.gate_f[..., t, :]
-        o = lt.gate_o[..., t, :]
-        g = lt.gate_g[..., t, :]
-        tc = lt.tanh_c[..., t, :]
-        z = lt.z[..., t, :]
-        c_prev = lt.c[..., t - 1, :] if t > 0 else np.zeros_like(tc)
+        i = lt.gate_i[t]
+        f = lt.gate_f[t]
+        o = lt.gate_o[t]
+        g = lt.gate_g[t]
+        tc = lt.tanh_c[t]
+        z = lt.z[t]
+        c_prev = lt.c[t - 1] if t > 0 else np.zeros_like(tc)
 
         d_h = d_h_seq[..., t, :] + d_h_next
         d_o = d_h * tc

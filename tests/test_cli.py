@@ -106,6 +106,24 @@ class TestBuild:
             err = capsys.readouterr().err
             assert symbol in err and cells[1] in err
 
+    def test_infinite_movement_is_an_input_error(self, tmp_path, capsys):
+        # adj_close 1e-10 then 1e300 gives anchor day 78 an infinite
+        # next-day movement (label +1) while its window stays finite.
+        prices = tmp_path / "prices"
+        (symbol,) = write_regime_price_csv(prices, n_stocks=1, n_days=80, seed=11)
+        path = prices / f"{symbol}.csv"
+        lines = path.read_text().splitlines()
+        for day, adj_close in ((78, "1e-10"), (79, "1e300")):
+            cells = lines[1 + day].split(",")
+            cells[6] = adj_close
+            lines[1 + day] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "movement" in err and symbol in err and lines[1 + 78].split(",")[1] in err
+        assert not (tmp_path / "out" / "dataset.bin").exists()
+
 
 @pytest.fixture()
 def built(price_dir, tmp_path):
@@ -130,6 +148,14 @@ class TestTrain:
     def test_missing_dataset_exits_2(self, price_dir, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", price_dir, tmp_path / "fresh")
         assert run("train", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("key, value", [("train.learning_rate", "nan"), ("train.l2", "inf")])
+    def test_non_finite_config_value_exits_2(self, price_dir, built, capsys, key, value):
+        cfg, out, base = built
+        bad = write_config(base / "bad.cfg", price_dir, out, **{key: value})
+        assert run("train", "--config", str(bad)) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
 
     def test_seed_flag_overrides(self, built):
         cfg, out, _ = built
@@ -347,6 +373,12 @@ class TestAttack:
     def test_negative_scale_exits_2(self, trained):
         cfg, out, _ = trained
         assert run("attack", "--config", str(cfg), "--scale", "-1") == 2
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_exits_2(self, trained, scale):
+        cfg, out, _ = trained
+        assert run("attack", "--config", str(cfg), "--scale", scale) == 2
+        assert not (out / "attack_report.csv").exists()
 
 
 class TestReport:

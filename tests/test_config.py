@@ -1,5 +1,6 @@
 import datetime as dt
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,11 @@ train.seed = 11
 grid.lags = 2, 3, 7
 grid.l2_coefs = 0.1,1.0
 """
+
+
+# Every key whose value is a float or a list of floats.
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
+FLOAT_KEYS = [key for key, (attr, _) in CONFIG_KEYS.items() if "float" in _TYPES[attr]]
 
 
 class TestParse:
@@ -98,6 +104,13 @@ class TestValidation:
             parse_config_text("baseline.mom_window = 1")
         with pytest.raises(ConfigError):
             parse_config_text("grid.lags = ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_floats_rejected(self, key, value):
+        text = f"{key} = 0.5, {value}" if key.startswith("grid.") else f"{key} = {value}"
+        with pytest.raises(ConfigError, match=f"{re.escape(key)}: expected a finite number"):
+            parse_config_text(text)
 
     def test_split_order_checked_when_present(self):
         text = (

@@ -351,6 +351,19 @@ class TestLabelAndWindow:
             splits = label_and_window(aligned, make_spec(lag=2))
         assert splits.counts() == {"train": 0, "val": 0, "test": 0}
 
+    def test_infinite_movement_is_an_input_error(self):
+        # adj_close 1e-10 on day 78, then 1e300: anchor 78's movement
+        # overflows to inf (label +1) while its lag-1 window stays finite.
+        series = flat_series(80)
+        for day, adj_close in ((78, 1e-10), (79, 1e300)):
+            series[day] = dataclasses.replace(series[day], adj_close=adj_close)
+        aligned = align_trading_days({"A": series})
+        spec = make_spec(lag=1, test_end=dt.date(2020, 4, 1))
+        with pytest.raises(DataError, match=f"movement for A on {series[78].date}"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptySplitWarning)
+            label_and_window(aligned, spec)
+
     @settings(max_examples=60, deadline=None)
     @given(
         movement=st.floats(min_value=-0.2, max_value=0.2),

@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -237,3 +238,41 @@ class TestForwardOracle:
             yhat = predict(window, params)
             assert yhat.shape == ()
             assert abs(reference.confidence(window, params) - float(yhat)) < 1e-12
+
+
+class TestLstmTrace:
+    """The cache is written once, time-major, with h batch-major."""
+
+    def test_forward_peak_is_one_trace(self):
+        params = init_params(ModelDims(feat_dim=11, map_size=16, hidden_size=16),
+                             np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((4096, 5, 11))
+        tracemalloc.start()
+        try:
+            trace = forward(x, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # trace.x is the caller's array; forward allocates everything else.
+        cached = [trace.m, trace.e, trace.yhat, *vars(trace.lstm).values(),
+                  *vars(trace.att).values()]
+        assert peak <= 1.1 * sum(a.nbytes for a in cached)
+
+    @pytest.mark.parametrize("shape", [(6, 5, 11), (5, 11)], ids=["batch", "window"])
+    def test_step_relations_hold_bit_for_bit(self, small_params, shape):
+        trace = forward(np.random.default_rng(8).standard_normal(shape), small_params)
+        lt, steps = trace.lstm, shape[-2]
+        lead, u = shape[:-2], small_params.w_i.shape[0]
+        assert lt.z.shape == (steps, *lead, trace.m.shape[-1] + u)
+        assert lt.c.shape == lt.gate_i.shape == (steps, *lead, u)
+        assert lt.h.shape == (*lead, steps, u)
+
+        def same(a, b):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        for t in range(steps):
+            h_prev = lt.h[..., t - 1, :] if t else np.zeros((*lead, u))
+            same(lt.z[t], np.concatenate([trace.m[..., t, :], h_prev], axis=-1))
+            c_prev = lt.c[t - 1] if t else np.zeros((*lead, u))
+            same(lt.c[t], lt.gate_f[t] * c_prev + lt.gate_i[t] * lt.gate_g[t])
+            same(lt.h[..., t, :], lt.gate_o[t] * lt.tanh_c[t])
