@@ -7,7 +7,7 @@ from advalstm.synthetic import make_regime_examples
 rng = np.random.default_rng(0)
 dims = ModelDims(feat_dim=11, map_size=6, hidden_size=6, att_size=6)
 params = init_params(dims, rng)
-print("parameter vector length:", params.to_vector().size)
+print("parameter vector length:", params.flat.size)
 
 x, y = make_regime_examples(4, lag=7, seed=2)
 trace = forward(x, params)

@@ -29,7 +29,6 @@ from .evaluation import (
     confusion_counts,
     mcc,
     mcc_from_counts,
-    multi_run_report,
     rpd,
     summarize_runs,
 )

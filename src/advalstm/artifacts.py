@@ -16,7 +16,7 @@ import datetime as dt
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -120,13 +120,9 @@ def save_checkpoint(
     adv_scale: float = 0.0,
     dataset_sha256: str | None = None,
 ) -> None:
-    dims = params.dims
     meta = {
         "kind": "checkpoint",
-        "feat_dim": dims.feat_dim,
-        "map_size": dims.map_size,
-        "hidden_size": dims.hidden_size,
-        "att_size": dims.att_size,
+        **asdict(params.dims),
         "lag": lag,
         "seed": seed,
         "mode": mode,
@@ -134,8 +130,7 @@ def save_checkpoint(
         "adv_scale": adv_scale,
         "dataset_sha256": dataset_sha256,
     }
-    tensors = {name: np.asarray(a, dtype=np.float64) for name, a in params.items()}
-    write_container(path, meta, tensors)
+    write_container(path, meta, dict(params.items()))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
@@ -148,14 +143,19 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
     if tensors["b_head"].shape == (1,):
         # Files written before 0-d shapes were preserved store b_head as (1,).
         tensors["b_head"] = tensors["b_head"].reshape(())
-    params = ParamSet(**{name: tensors[name] for name in PARAM_FIELDS})
     sizes = {f.name: meta.get(f.name) for f in fields(ModelDims)}
     bad = [name for name, value in sizes.items() if type(value) is not int]
     if bad:
         raise ArtifactMismatchError(f"{path}: checkpoint header lacks integer sizes {bad}")
     dims = ModelDims(**sizes)
-    if params.dims != dims:
-        raise ArtifactMismatchError(f"{path}: tensor shapes disagree with recorded sizes")
+    params = ParamSet(dims)
+    for name, view in params.items():
+        if tensors[name].shape != view.shape:
+            raise ArtifactMismatchError(
+                f"{path}: tensor {name} has shape {tensors[name].shape}, "
+                f"the recorded sizes give {view.shape}"
+            )
+        view[...] = tensors[name]
     return params, dims, meta
 
 

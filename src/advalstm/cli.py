@@ -7,12 +7,14 @@ baselines on the test split), ``attack`` (clean vs attacked metrics and
 relative performance drop), ``report`` (mean +- std across repeated
 runs).  Exit codes: 0 success, 2 input or config error, 3 divergence,
 4 artifact mismatch.  Same config and seed always reproduce the same
-bytes on disk.
+bytes on disk: every command runs numpy's BLAS on one thread, because a
+multi-threaded BLAS splits sums differently at different thread counts.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import sys
 from pathlib import Path
@@ -26,11 +28,10 @@ from .errors import (
     ArtifactMismatchError,
     ConfigError,
     ContractError,
-    DivergenceError,
     NumericError,
     ShapeError,
 )
-from .evaluation import accuracy, confidence_histogram, mcc, multi_run_report, rpd
+from .evaluation import accuracy, confidence_histogram, mcc, rpd, summarize_runs
 from .gridsearch import grid_search
 from .market_data import (
     FEATURE_DIM,
@@ -202,7 +203,17 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint_for(dataset_sha: str, path: Path):
+def _load_scoring_inputs(args):
+    """The preamble of eval and attack: config, out dir, dataset, a
+    checkpoint that matches it, and the test windows at its lag."""
+    config = _load_run_config(args)
+    out = _out_dir(config)
+    dataset_path = _require(out / DATASET_FILE, "dataset")
+    path = _require(
+        Path(args.checkpoint) if args.checkpoint else out / CHECKPOINT_FILE, "checkpoint"
+    )
+    dataset = artifacts.load_dataset(dataset_path)
+    dataset_sha = artifacts.file_sha256(dataset_path)
     params, dims, meta = artifacts.load_checkpoint(path)
     if dims.feat_dim != FEATURE_DIM:
         raise ArtifactMismatchError(
@@ -216,15 +227,10 @@ def _load_checkpoint_for(dataset_sha: str, path: Path):
             "checkpoint was trained on a different dataset "
             f"(recorded {recorded[:12]}.., found {dataset_sha[:12]}..)"
         )
-    return params, meta
-
-
-def _test_arrays(dataset, meta: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Test windows at the checkpoint's lag."""
     x_test, y_test = dataset.arrays("test", meta["lag"])
     if y_test.size == 0:
         raise ContractError("test split is empty; nothing to evaluate")
-    return x_test, y_test
+    return config, out, dataset, params, meta, x_test, y_test
 
 
 def _ri_percent(model_score: float, baseline_score: float) -> float | None:
@@ -235,17 +241,7 @@ def _ri_percent(model_score: float, baseline_score: float) -> float | None:
 
 
 def cmd_eval(args) -> int:
-    config = _load_run_config(args)
-    out = _out_dir(config)
-    dataset_path = _require(out / DATASET_FILE, "dataset")
-    checkpoint_path = _require(
-        Path(args.checkpoint) if args.checkpoint else out / CHECKPOINT_FILE, "checkpoint"
-    )
-    dataset = artifacts.load_dataset(dataset_path)
-    sha = artifacts.file_sha256(dataset_path)
-    params, meta = _load_checkpoint_for(sha, checkpoint_path)
-
-    x_test, y_test = _test_arrays(dataset, meta)
+    config, out, dataset, params, _, x_test, y_test = _load_scoring_inputs(args)
     yhat = predict(x_test, params)
     pred = classify(yhat)
     test = dataset.splits.test
@@ -292,16 +288,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    config = _load_run_config(args)
-    out = _out_dir(config)
-    dataset_path = _require(out / DATASET_FILE, "dataset")
-    checkpoint_path = _require(
-        Path(args.checkpoint) if args.checkpoint else out / CHECKPOINT_FILE, "checkpoint"
-    )
-    dataset = artifacts.load_dataset(dataset_path)
-    sha = artifacts.file_sha256(dataset_path)
-    params, meta = _load_checkpoint_for(sha, checkpoint_path)
-
+    config, out, _, params, meta, x_test, y_test = _load_scoring_inputs(args)
     if args.scale is not None:
         eps = args.scale
     elif config.attack_scale is not None:
@@ -311,7 +298,6 @@ def cmd_attack(args) -> int:
     if not 0 <= eps < np.inf:
         raise ConfigError(f"attack scale must be finite and >= 0, got {eps}")
 
-    x_test, y_test = _test_arrays(dataset, meta)
     clean_yhat, attacked_yhat = attacked_confidences(x_test, y_test, params, eps)
     clean_pred = classify(clean_yhat)
     attacked_pred = classify(attacked_yhat)
@@ -335,23 +321,14 @@ def cmd_report(args) -> int:
     if not args.inputs:
         raise ConfigError("report needs at least one metrics.csv path")
     values: dict[tuple[str, str], list[float]] = {}
-    order: list[tuple[str, str]] = []
     for path in args.inputs:
         for row in artifacts.read_metrics_csv(_require(Path(path), "metrics file")):
             for metric in ("acc", "mcc"):
-                cell = row[metric]
-                if cell == "":
-                    continue
-                key = (row["name"], metric)
-                if key not in values:
-                    values[key] = []
-                    order.append(key)
-                values[key].append(float(cell))
-    summaries = multi_run_report({key: vals for key, vals in values.items()})
+                if row[metric] != "":
+                    values.setdefault((row["name"], metric), []).append(float(row[metric]))
     rows = []
-    for key in order:
-        name, metric = key
-        s = summaries[key]
+    for (name, metric), vals in values.items():
+        s = summarize_runs(vals)
         rows.append((name, metric, s.mean, s.std, s.n_runs))
         print(f"{name} {metric}: {s} over {s.n_runs} run(s)")
     artifacts.write_summary_csv(out / "summary.csv", rows)
@@ -386,20 +363,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread.
+
+    Fails loudly (exit 2) where numpy does not bundle the scipy-openblas
+    build this calls into, since thread-independent bytes could not be
+    promised there.  There is no fallback to the ``*_NUM_THREADS``
+    variables: numpy reads them only when it is first imported.
+    """
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*scipy_openblas64_*"),
+                       *root.glob(".dylibs/*scipy_openblas64_*")]):
+        try:
+            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+        return
+    raise AdvAlstmError(
+        "cannot pin BLAS to one thread: numpy's bundled OpenBLAS "
+        "(scipy_openblas_set_num_threads64_) was not found"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _pin_blas_threads()
         return args.handler(args)
-    except DivergenceError as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (ArtifactMismatchError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
     except (AdvAlstmError, FileNotFoundError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -74,9 +74,6 @@ class HistogramReport:
 
     edges: np.ndarray    # bins+1 boundaries
     counts: np.ndarray   # bins integers
-    min: float
-    max: float
-    mean_abs: float
 
     def rows(self) -> list[tuple[float, float, int]]:
         return [
@@ -98,13 +95,7 @@ def confidence_histogram(confidences, bins: int = 20) -> HistogramReport:
         # Degenerate range: widen symmetrically so every value lands in a bin.
         lo, hi = lo - 0.5, hi + 0.5
     counts, edges = np.histogram(c, bins=bins, range=(lo, hi))
-    return HistogramReport(
-        edges=edges,
-        counts=counts,
-        min=float(c.min()),
-        max=float(c.max()),
-        mean_abs=float(np.mean(np.abs(c))),
-    )
+    return HistogramReport(edges=edges, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -125,10 +116,3 @@ def summarize_runs(values: Iterable[float]) -> MetricSummary:
         raise ContractError("summary needs at least one run")
     std = 0.0 if vals.size == 1 else float(np.std(vals, ddof=1))
     return MetricSummary(mean=float(np.mean(vals)), std=std, n_runs=int(vals.size))
-
-
-def multi_run_report(
-    metric_values: dict[str, Iterable[float]]
-) -> dict[str, MetricSummary]:
-    """Per-metric mean and sample std over repeated seeded runs."""
-    return {name: summarize_runs(vals) for name, vals in metric_values.items()}

@@ -34,9 +34,13 @@ class GridSpec:
     adv_scales: tuple[float, ...] = (0.001, 0.005, 0.01, 0.05, 0.1)
 
     def __post_init__(self):
-        for name in ("hidden_sizes", "lags", "l2_coefs", "adv_weights", "adv_scales"):
-            if not getattr(self, name):
+        lows = {"hidden_sizes": 1, "lags": 1, "l2_coefs": 0, "adv_weights": 0, "adv_scales": 0}
+        for name, low in lows.items():
+            values = getattr(self, name)
+            if not values:
                 raise ContractError(f"grid axis {name} must be non-empty")
+            if min(values) < low:
+                raise ContractError(f"grid axis {name} values must be >= {low}, got {min(values)}")
 
     def cell_count(self) -> int:
         stage1 = len(self.hidden_sizes) * len(self.lags) * len(self.l2_coefs)

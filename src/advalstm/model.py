@@ -16,10 +16,17 @@ float64; backward passes are exact adjoints of the forward code and are
 validated against central finite differences in the test suite.  The LSTM
 trace is time-major, (T, ..., width), allocated once and filled in place
 step by step; only h is batch-major, (..., T, hidden), as attention reads it.
+
+Parameters live in one flat float64 vector (``ParamSet.flat``); the named
+tensors are views of it, laid out in ``PARAM_FIELDS`` order with the
+shapes ``param_shapes`` gives, so optimizers and regularizers update the
+whole vector in place.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -53,102 +60,71 @@ class ModelDims:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-@dataclass
-class ParamSet:
-    """All trainable parameters.
+def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    """Every parameter tensor's shape, in ``PARAM_FIELDS`` order.
 
     LSTM gate weights act on the concatenation [m_t; h_{t-1}], in the
     order input (i), forget (f), output (o), candidate (g).
     """
+    d, e, u, a = dims.feat_dim, dims.map_size, dims.hidden_size, dims.att_size
+    gate = ((u, e + u), (u,))
+    shapes = ((e, d), (e,), *gate, *gate, *gate, *gate, (a, u), (a,), (a,), (2 * u,), ())
+    return dict(zip(PARAM_FIELDS, shapes))
 
-    w_map: np.ndarray  # (map, feat)
-    b_map: np.ndarray  # (map,)
-    w_i: np.ndarray    # (hidden, map + hidden)
-    b_i: np.ndarray    # (hidden,)
-    w_f: np.ndarray
-    b_f: np.ndarray
-    w_o: np.ndarray
-    b_o: np.ndarray
-    w_g: np.ndarray
-    b_g: np.ndarray
-    w_att: np.ndarray  # (att, hidden)
-    b_att: np.ndarray  # (att,)
-    u_att: np.ndarray  # (att,)
-    w_head: np.ndarray  # (2 * hidden,)
-    b_head: np.ndarray  # ()
+
+class ParamSet:
+    """All trainable parameters in one float64 vector ``flat``.
+
+    Each name in ``PARAM_FIELDS`` is a view of ``flat`` shaped as
+    ``param_shapes(dims)`` says; the views tile ``flat`` in that order, so
+    writing a view writes ``flat`` and whole-vector updates act in place.
+    """
+
+    def __init__(self, dims: ModelDims, flat: np.ndarray | None = None):
+        shapes = param_shapes(dims)
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes.values()))
+        flat = np.zeros(ends[-1]) if flat is None else np.ascontiguousarray(flat, dtype=np.float64)
+        if flat.shape != (ends[-1],):
+            raise ShapeError(f"parameter vector must have shape ({ends[-1]},), got {flat.shape}")
+        self.dims = dims
+        self.flat = flat
+        for (name, shape), start, end in zip(shapes.items(), [0, *ends], ends):
+            setattr(self, name, flat[start:end].reshape(shape))
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        for name in PARAM_FIELDS:
-            yield name, getattr(self, name)
-
-    @property
-    def dims(self) -> ModelDims:
-        return ModelDims(
-            feat_dim=self.w_map.shape[1],
-            map_size=self.w_map.shape[0],
-            hidden_size=self.w_i.shape[0],
-            att_size=self.w_att.shape[0],
-        )
+        return ((name, getattr(self, name)) for name in PARAM_FIELDS)
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for _, a in self.items()])
+        return self.flat.copy()
 
     def from_vector(self, vec: np.ndarray) -> "ParamSet":
-        """New ParamSet with this one's shapes and ``vec``'s values."""
-        vec = np.asarray(vec, dtype=np.float64)
-        expected = sum(a.size for _, a in self.items())
-        if vec.shape != (expected,):
-            raise ShapeError(f"parameter vector must have shape ({expected},), got {vec.shape}")
-        pieces = {}
-        offset = 0
-        for name, a in self.items():
-            pieces[name] = vec[offset : offset + a.size].reshape(a.shape).copy()
-            offset += a.size
-        return ParamSet(**pieces)
+        """New ParamSet with this one's shapes and a copy of ``vec``'s values."""
+        return ParamSet(self.dims, np.array(vec, dtype=np.float64))
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet(**{name: np.zeros_like(a) for name, a in self.items()})
+        return ParamSet(self.dims)
 
     def copy(self) -> "ParamSet":
-        return ParamSet(**{name: a.copy() for name, a in self.items()})
+        return ParamSet(self.dims, self.flat.copy())
 
     def l2_norm_sq(self) -> float:
-        """Squared Frobenius norm over every parameter tensor.
-
-        Overflows to inf rather than warning; callers treat non-finite
-        objectives as divergence.
-        """
+        """Squared norm of ``flat``; overflows to inf, which callers treat as divergence."""
         with np.errstate(over="ignore"):
-            return float(sum(np.sum(a * a) for _, a in self.items()))
+            return float(np.sum(self.flat * self.flat))
 
 
 def init_params(dims: ModelDims, rng: np.random.Generator) -> ParamSet:
     """Seeded initialization: uniform(-r, r) with r = sqrt(6/(fan_in+fan_out))
-    for weights, zeros for biases, except the forget-gate bias at 1.0."""
-
-    def uniform(shape, fan_in, fan_out):
-        r = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-r, r, size=shape)
-
-    d, e, u, a = dims.feat_dim, dims.map_size, dims.hidden_size, dims.att_size
-    z = e + u  # LSTM input width
-    return ParamSet(
-        w_map=uniform((e, d), d, e),
-        b_map=np.zeros(e),
-        w_i=uniform((u, z), z, u),
-        b_i=np.zeros(u),
-        w_f=uniform((u, z), z, u),
-        b_f=np.full(u, 1.0),
-        w_o=uniform((u, z), z, u),
-        b_o=np.zeros(u),
-        w_g=uniform((u, z), z, u),
-        b_g=np.zeros(u),
-        w_att=uniform((a, u), u, a),
-        b_att=np.zeros(a),
-        u_att=uniform((a,), a, 1),
-        w_head=uniform((2 * u,), 2 * u, 1),
-        b_head=np.zeros(()),
-    )
+    for weights, drawn in ``PARAM_FIELDS`` order, and zero biases except the
+    forget-gate bias at 1.0.  A vector weight feeds one output."""
+    params = ParamSet(dims)
+    for name, w in params.items():
+        if not name.startswith("b_"):
+            fan_out, fan_in = w.shape if w.ndim == 2 else (1, w.size)
+            r = np.sqrt(6.0 / (fan_in + fan_out))
+            w[...] = rng.uniform(-r, r, size=w.shape)
+    params.b_f[...] = 1.0
+    return params
 
 
 @dataclass

@@ -135,8 +135,7 @@ def _objective(
     d_yhat = scale * hinge_grad(y, trace.yhat)
     grads, _ = backward(params, trace, d_yhat, d_yhat_adv, e_adv)
     if l2_coef:
-        for name, a in params.items():
-            getattr(grads, name)[...] += l2_coef * a
+        grads.flat += l2_coef * params.flat
     return loss, grads
 
 
@@ -262,7 +261,7 @@ def attacked_confidences(
 
 @dataclass
 class AdamState:
-    """Adam accumulators over the flattened parameter vector."""
+    """Adam accumulators over the flat parameter vector."""
 
     step: int
     m: np.ndarray
@@ -270,7 +269,7 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: ParamSet) -> "AdamState":
-        n = params.to_vector().size
+        n = params.flat.size
         return cls(step=0, m=np.zeros(n), v=np.zeros(n))
 
 
@@ -283,18 +282,18 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ParamSet, AdamState]:
-    """One bias-corrected Adam update; returns the new params and state."""
-    p = params.to_vector()
-    g = grads.to_vector()
-    if state.m.shape != p.shape or state.v.shape != p.shape or g.shape != p.shape:
+    """One bias-corrected Adam update of ``params.flat``, ``state.m`` and
+    ``state.v``, in place; returns the same params and state."""
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
+    if m.shape != p.shape or v.shape != p.shape or g.shape != p.shape:
         raise ShapeError("Adam state/gradient shapes do not match the parameters")
-    t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    p_new = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params.from_vector(p_new), AdamState(step=t, m=m, v=v)
+    state.step += 1
+    m[...] = beta1 * m + (1.0 - beta1) * g
+    v[...] = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**state.step)
+    v_hat = v / (1.0 - beta2**state.step)
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params, state
 
 
 @dataclass
@@ -402,11 +401,11 @@ def train(
 
     if not np.isfinite(best_acc) and history:
         # No usable validation split: fall back to the final epoch.
-        best_params = params.copy()
+        best_params = params
         best_epoch = history[-1].epoch
     return TrainResult(
         params=best_params,
         best_epoch=best_epoch,
         history=history,
-        final_params=params.copy(),
+        final_params=params,
     )

@@ -153,6 +153,17 @@ class TestCheckpoint:
             assert getattr(loaded, name).shape == a.shape, name
         np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
 
+    @pytest.mark.parametrize("name, shape", [("b_att", (3,)), ("b_i", (2,)), ("u_att", (4, 1))])
+    def test_tensor_shape_checked_against_recorded_sizes(self, tmp_path, small_dims, name, shape):
+        params = init_params(small_dims, np.random.default_rng(5))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, lag=4, seed=5, mode="normal", best_epoch=1)
+        meta, tensors = read_container(path)
+        tensors[name] = np.zeros(shape)
+        write_container(path, meta, tensors)
+        with pytest.raises(ArtifactMismatchError, match=name):
+            load_checkpoint(path)
+
     def test_kind_checked(self, tmp_path):
         p = tmp_path / "x.bin"
         write_container(p, {"kind": "dataset"}, {})

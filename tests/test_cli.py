@@ -1,10 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advalstm
+from advalstm import gridsearch
 from advalstm.artifacts import (
     MAGIC,
     load_checkpoint,
@@ -216,6 +221,35 @@ class TestGrid:
         assert best.hidden_size in (4, 8)
         assert best.lag in (2, 5)
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid.hidden_sizes", "4,0"),
+        ("grid.lags", "2,0"),
+        ("grid.l2_coefs", "0.01,-1"),
+        ("grid.adv_weights", "-0.1"),
+        ("grid.adv_scales", "-0.01"),
+    ])
+    def test_bad_axis_exits_2_before_training(self, price_dir, built, monkeypatch, capsys,
+                                              key, value):
+        cfg, out, base = built
+        trained = []
+        real_train = gridsearch.train
+
+        def counting_train(*args, **kwargs):
+            trained.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(gridsearch, "train", counting_train)
+        grid_cfg = write_config(
+            base / "bad.cfg", price_dir, out,
+            **{"grid.hidden_sizes": "4", "grid.lags": "2,3", "grid.l2_coefs": "0.01",
+               "grid.adv_weights": "0.01", "grid.adv_scales": "0.05", "grid.epochs": "1",
+               key: value},
+        )
+        assert run("grid", "--config", str(grid_cfg)) == 2
+        assert key.split(".")[1] in capsys.readouterr().err
+        assert trained == []
+        assert not (out / "grid_results.csv").exists()
+
     def test_lag_deeper_than_dataset_exits_4(self, price_dir, built):
         cfg, out, base = built
         grid_cfg = write_config(
@@ -352,6 +386,19 @@ class TestEval:
         assert run("eval", "--config", str(cfg), str(ckpt)) == 4
         assert run("attack", "--config", str(cfg), str(ckpt)) == 4
 
+    @pytest.mark.parametrize("name, shape", [("b_att", (3,)), ("b_i", (2,)), ("u_att", (4, 1))])
+    def test_wrong_tensor_shape_exits_4(self, built, small_dims, capsys, name, shape):
+        cfg, out, base = built
+        ckpt = base / "bad.ckpt"
+        params = init_params(small_dims, np.random.default_rng(0))
+        save_checkpoint(ckpt, params, lag=5, seed=0, mode="normal", best_epoch=0)
+        meta, tensors = read_container(ckpt)
+        tensors[name] = np.zeros(shape)
+        write_container(ckpt, meta, tensors)
+        for command in ("eval", "attack"):
+            assert run(command, "--config", str(cfg), str(ckpt)) == 4
+            assert name in capsys.readouterr().err
+
 
 class TestAttack:
     def test_report_written(self, trained):
@@ -400,3 +447,31 @@ class TestReport:
     def test_no_inputs_exits_2(self, trained):
         cfg, out, _ = trained
         assert run("report", "--config", str(cfg)) == 2
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_thread_count(self, tmp_path):
+        # 4,472 train windows at batch 1024 end each epoch on a 376-row
+        # batch, where a two-thread BLAS splits the gradient sums differently.
+        prices = tmp_path / "prices"
+        write_regime_price_csv(prices, n_stocks=30, n_days=300, seed=4)
+        src = str(Path(advalstm.__file__).resolve().parents[1])
+        names = ("model.ckpt", "loss_curves.csv", "predictions.csv")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            cfg = write_config(
+                tmp_path / f"threads{threads}.cfg", prices, out,
+                **{"data.lag": "15", "split.train_end": "2020-08-01",
+                   "split.val_end": "2020-09-30", "split.test_end": "2020-10-26",
+                   "model.map_size": "32", "model.hidden_size": "32",
+                   "train.batch_size": "1024", "train.mode": "adversarial",
+                   "train.epochs": "1", "train.patience": "0"},
+            )
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            for command in ("build", "train", "eval"):
+                argv = [sys.executable, "-m", "advalstm.cli", command, "--config", str(cfg)]
+                subprocess.run(argv, env=env, check=True, capture_output=True)
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        for name in names:
+            assert outputs[0][name] == outputs[1][name], name

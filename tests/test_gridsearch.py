@@ -27,6 +27,14 @@ class TestSpec:
         with pytest.raises(ContractError):
             GridSpec(hidden_sizes=())
 
+    @pytest.mark.parametrize("axis, values", [
+        ("hidden_sizes", (4, 0)), ("lags", (0,)), ("l2_coefs", (0.01, -1.0)),
+        ("adv_weights", (-0.1,)), ("adv_scales", (-0.01,)),
+    ])
+    def test_out_of_range_axis_rejected(self, axis, values):
+        with pytest.raises(ContractError, match=axis):
+            GridSpec(**{axis: values})
+
 
 class TestSearch:
     def test_single_cell_grid(self):

@@ -98,6 +98,68 @@ class TestInit:
             small_params.from_vector(vec[:-1])
 
 
+# Distinct sizes, so a transposed or misplaced tensor cannot pass.
+LAYOUT_DIMS = ModelDims(feat_dim=11, map_size=5, hidden_size=3, att_size=2)
+
+
+def reference_init(dims, rng):
+    """The initializer written out tensor by tensor, drawing in field order."""
+
+    def uniform(shape, fan_in, fan_out):
+        r = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-r, r, size=shape)
+
+    d, e, u, a = dims.feat_dim, dims.map_size, dims.hidden_size, dims.att_size
+    z = e + u
+    return {
+        "w_map": uniform((e, d), d, e), "b_map": np.zeros(e),
+        "w_i": uniform((u, z), z, u), "b_i": np.zeros(u),
+        "w_f": uniform((u, z), z, u), "b_f": np.ones(u),
+        "w_o": uniform((u, z), z, u), "b_o": np.zeros(u),
+        "w_g": uniform((u, z), z, u), "b_g": np.zeros(u),
+        "w_att": uniform((a, u), u, a), "b_att": np.zeros(a),
+        "u_att": uniform((a,), a, 1),
+        "w_head": uniform((2 * u,), 2 * u, 1), "b_head": np.zeros(()),
+    }
+
+
+class TestParamLayout:
+    def test_init_matches_per_tensor_draws(self):
+        p = init_params(LAYOUT_DIMS, np.random.default_rng(3))
+        expected = reference_init(LAYOUT_DIMS, np.random.default_rng(3))
+        assert [name for name, _ in p.items()] == list(expected)
+        for name, a in p.items():
+            assert a.shape == expected[name].shape, name
+            np.testing.assert_array_equal(a, expected[name], err_msg=name)
+
+    def test_views_tile_flat_in_field_order(self):
+        p = init_params(LAYOUT_DIMS, np.random.default_rng(3))
+        offset = 0
+        for name, a in p.items():
+            assert np.shares_memory(a, p.flat), name
+            assert a.ctypes.data == p.flat.ctypes.data + p.flat.itemsize * offset, name
+            offset += a.size
+        assert offset == p.flat.size
+        np.testing.assert_array_equal(
+            p.to_vector(), np.concatenate([a.ravel() for _, a in p.items()])
+        )
+
+    def test_view_writes_reach_flat(self, small_params):
+        p = small_params.copy()
+        p.b_head[...] = 2.5
+        p.w_map += 1.0
+        assert p.flat[-1] == 2.5
+        np.testing.assert_array_equal(p.flat[: p.w_map.size], small_params.w_map.ravel() + 1.0)
+
+    def test_copies_do_not_alias(self, small_params):
+        vec = small_params.to_vector()
+        assert not np.shares_memory(vec, small_params.flat)
+        others = (small_params.copy(), small_params.zeros_like(), small_params.from_vector(vec))
+        for other in others:
+            assert not np.shares_memory(other.flat, small_params.flat)
+        assert not np.shares_memory(small_params.from_vector(vec).flat, vec)
+
+
 class TestSoftmax:
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)

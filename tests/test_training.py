@@ -252,8 +252,32 @@ class TestAdam:
     def test_zero_grad_keeps_params_bitwise(self, small_params):
         state = AdamState.for_params(small_params)
         grads = small_params.zeros_like()
+        before = small_params.to_vector()
         new, _ = adam_step(small_params, grads, state, lr=0.1)
-        np.testing.assert_array_equal(new.to_vector(), small_params.to_vector())
+        np.testing.assert_array_equal(new.to_vector(), before)
+
+    def test_in_place_update_matches_out_of_place_formula(self, small_params):
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        params = small_params.copy()
+        state = AdamState.for_params(params)
+        p = params.to_vector()
+        m = np.zeros_like(p)
+        v = np.zeros_like(p)
+        rng = np.random.default_rng(3)
+        for t in range(1, 6):
+            grads = params.from_vector(rng.standard_normal(p.size))
+            g = grads.to_vector()
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+            new, new_state = adam_step(params, grads, state, lr=lr)
+            assert new is params and new_state is state
+            assert state.step == t
+            np.testing.assert_array_equal(params.to_vector(), p)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
 
     def test_single_step_hand_value(self, small_dims):
         p = init_params(small_dims, np.random.default_rng(0)).zeros_like()
