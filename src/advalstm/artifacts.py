@@ -155,6 +155,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
                 f"{path}: tensor {name} has shape {tensors[name].shape}, "
                 f"the recorded sizes give {view.shape}"
             )
+        if tensors[name].dtype.kind not in "biuf" or not np.isfinite(tensors[name]).all():
+            raise ArtifactMismatchError(f"{path}: tensor {name} must hold finite real numbers")
         view[...] = tensors[name]
     return params, dims, meta
 

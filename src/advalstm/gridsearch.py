@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError
 from .evaluation import accuracy, mcc
-from .model import ModelDims, classify, predict
+from .model import ModelDims, classify
 from .training import TrainConfig, train
 
 # (x_train, y_train, x_val, y_val) for a given lag
@@ -86,9 +86,8 @@ def _evaluate_cell(
         hidden_size=hidden_size,
         att_size=hidden_size,
     )
-    result = train(x_train, y_train, x_val, y_val, dims, config)
-    yhat = predict(x_val, result.params)
-    pred = classify(yhat)
+    result = train(x_train, y_train, x_val, y_val, dims, config, track_train_loss=False)
+    pred = classify(result.val_yhat)
     return accuracy(y_val, pred), mcc(y_val, pred)
 
 

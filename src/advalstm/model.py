@@ -17,6 +17,10 @@ validated against central finite differences in the test suite.  The LSTM
 trace is time-major, (T, ..., width), allocated once and filled in place
 step by step; only h is batch-major, (..., T, hidden), as attention reads it.
 
+Scoring (``predict``) runs ``forward`` on blocks of ``EVAL_ROWS`` windows
+along the leading axis, so its memory stays one block's trace however
+large the split.
+
 Parameters live in one flat float64 vector (``ParamSet.flat``); the named
 tensors are views of it, laid out in ``PARAM_FIELDS`` order with the
 shapes ``param_shapes`` gives, so optimizers and regularizers update the
@@ -28,7 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from types import EllipsisType
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -41,6 +46,11 @@ PARAM_FIELDS = (
     "w_att", "b_att", "u_att",
     "w_head", "b_head",
 )
+
+# Windows per scoring block: the default training batch size, so BLAS calls
+# stay as efficient as in a step, while one block's trace (7.7 MB at hidden
+# 16, lag 5) replaces a whole split's (about 150 MB for 19,830 windows).
+EVAL_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -243,9 +253,41 @@ def forward(x: np.ndarray, params: ParamSet) -> ForwardTrace:
     return ForwardTrace(x=x, m=m, lstm=lstm, att=att, e=e, yhat=yhat)
 
 
+def _map_blocks(
+    x: np.ndarray,
+    params: ParamSet,
+    read: Callable[[slice | EllipsisType, ForwardTrace], object],
+) -> list:
+    """``read(rows, forward(x[rows], params))`` for each block of
+    ``EVAL_ROWS`` windows along the leading axis, in order.
+
+    Block starts are multiples of ``EVAL_ROWS``.  A single window (T, D)
+    or a batch of at most ``EVAL_ROWS`` windows is one block, with rows
+    ``...``.  Only ``read``'s result outlives each block's trace.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0] if x.ndim > 2 else 0
+    if n <= EVAL_ROWS:
+        return [read(..., forward(x, params))]
+    return [
+        read(slice(start, start + EVAL_ROWS), forward(x[start : start + EVAL_ROWS], params))
+        for start in range(0, n, EVAL_ROWS)
+    ]
+
+
+def _join(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-block results along the leading axis; a lone block as is."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def predict(x: np.ndarray, params: ParamSet) -> np.ndarray:
-    """Confidence values only; class is sign(yhat) with 0 -> +1."""
-    return forward(x, params).yhat
+    """Confidence values only; class is sign(yhat) with 0 -> +1.
+
+    Scores ``EVAL_ROWS`` windows at a time, so memory does not grow with
+    the batch; a single window or a batch of at most ``EVAL_ROWS`` windows
+    is exactly ``forward(x, params).yhat``.
+    """
+    return _join(_map_blocks(x, params, lambda _, trace: trace.yhat))
 
 
 def classify(yhat: np.ndarray) -> np.ndarray:

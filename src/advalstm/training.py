@@ -36,11 +36,14 @@ from .model import (
     ForwardTrace,
     ModelDims,
     ParamSet,
+    _join,
+    _map_blocks,
     backward,
     classify,
     forward,
     head_forward,
     init_params,
+    predict,
 )
 
 MODES = ("normal", "adversarial", "random_perturbation")
@@ -252,11 +255,17 @@ def attacked_confidences(
 
     The attack regenerates fast-gradient perturbations against the given
     parameters; examples without an adversarial example (inactive hinge)
-    keep their clean representation.
+    keep their clean representation.  Runs in the blocks ``predict``
+    uses, so memory does not grow with the batch.
     """
-    trace = forward(x, params)
-    r_adv, _ = adversarial_perturbations(trace.yhat, y, params, eps)
-    return trace.yhat, head_forward(trace.e + r_adv, params)
+    y = _check_labels(y)
+
+    def attack(rows, trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
+        r_adv, _ = adversarial_perturbations(trace.yhat, y[rows], params, eps)
+        return trace.yhat, head_forward(trace.e + r_adv, params)
+
+    clean, attacked = zip(*_map_blocks(x, params, attack))
+    return _join(clean), _join(attacked)
 
 
 @dataclass
@@ -299,7 +308,7 @@ def adam_step(
 @dataclass
 class EpochRecord:
     epoch: int
-    train_loss: float  # mean clean hinge over the train split
+    train_loss: float  # mean clean hinge over the train split; nan when not tracked
     val_loss: float    # mean clean hinge over the validation split
     val_acc: float     # percent
 
@@ -310,16 +319,20 @@ class TrainResult:
     best_epoch: int           # 0 means the initialization was returned
     history: list[EpochRecord] = field(default_factory=list)
     final_params: ParamSet | None = None
+    val_yhat: np.ndarray | None = None  # params' validation confidences
 
 
-def _mean_hinge(x: np.ndarray, y: np.ndarray, params: ParamSet) -> tuple[float, float]:
-    """(mean hinge, accuracy percent) of a split; (nan, nan) when empty."""
+def _mean_hinge(
+    x: np.ndarray, y: np.ndarray, params: ParamSet
+) -> tuple[float, float, np.ndarray | None]:
+    """(mean hinge, accuracy percent, confidences) of a split;
+    (nan, nan, None) when empty."""
     if y.size == 0:
-        return float("nan"), float("nan")
-    yhat = forward(x, params).yhat
+        return float("nan"), float("nan"), None
+    yhat = predict(x, params)
     loss = float(np.mean(hinge_loss(y, yhat)))
     acc = 100.0 * float(np.mean(classify(yhat) == y))
-    return loss, acc
+    return loss, acc, yhat
 
 
 def train(
@@ -330,6 +343,8 @@ def train(
     dims: ModelDims,
     config: TrainConfig,
     on_epoch: Callable[[EpochRecord], None] | None = None,
+    *,
+    track_train_loss: bool = True,
 ) -> TrainResult:
     """Seeded mini-batch training with best-validation-accuracy selection.
 
@@ -337,7 +352,10 @@ def train(
     one generator seeded by ``config.seed``, so identical inputs and
     seeds reproduce identical checkpoints.  Epochs end early after
     ``patience`` epochs without a validation-accuracy improvement.
-    Raises DivergenceError when the loss stops being finite.
+    With ``track_train_loss`` False the per-epoch pass over the train
+    split is skipped and ``EpochRecord.train_loss`` is nan; nothing else
+    changes.  Raises DivergenceError when the loss or the parameters stop
+    being finite.
     """
     y_train = _check_labels(y_train)
     if y_train.size == 0:
@@ -354,6 +372,7 @@ def train(
     best_params = params.copy()
     best_epoch = 0
     best_acc = -np.inf
+    best_val_yhat = None
     history: list[EpochRecord] = []
 
     for epoch in range(1, config.epochs + 1):
@@ -379,13 +398,17 @@ def train(
                 raise DivergenceError(f"epoch {epoch}: {exc}") from exc
             params, state = adam_step(params, grads, state, config.learning_rate)
 
+        train_loss = float("nan")
         try:
-            train_loss, _ = _mean_hinge(x_train, y_train, params)
-            val_loss, val_acc = _mean_hinge(x_val, y_val, params)
+            if track_train_loss:
+                train_loss, _, _ = _mean_hinge(x_train, y_train, params)
+            val_loss, val_acc, val_yhat = _mean_hinge(x_val, y_val, params)
         except NumericError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}") from exc
-        if not np.isfinite(train_loss):
+        if track_train_loss and not np.isfinite(train_loss):
             raise DivergenceError(f"epoch {epoch}: training loss is non-finite")
+        if not np.isfinite(params.flat).all():
+            raise DivergenceError(f"epoch {epoch}: parameters are non-finite")
         record = EpochRecord(epoch=epoch, train_loss=train_loss,
                              val_loss=val_loss, val_acc=val_acc)
         history.append(record)
@@ -396,6 +419,7 @@ def train(
             best_acc = val_acc
             best_epoch = epoch
             best_params = params.copy()
+            best_val_yhat = val_yhat
         if config.patience and np.isfinite(best_acc) and epoch - best_epoch >= config.patience:
             break
 
@@ -403,9 +427,13 @@ def train(
         # No usable validation split: fall back to the final epoch.
         best_params = params
         best_epoch = history[-1].epoch
+    if best_val_yhat is None:
+        # Zero epochs or no usable validation split: nothing scored best_params yet.
+        best_val_yhat = predict(x_val, best_params)
     return TrainResult(
         params=best_params,
         best_epoch=best_epoch,
         history=history,
         final_params=params,
+        val_yhat=best_val_yhat,
     )

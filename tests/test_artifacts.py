@@ -164,6 +164,19 @@ class TestCheckpoint:
         with pytest.raises(ArtifactMismatchError, match=name):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, value", [("w_map", np.nan), ("b_head", np.inf),
+                                             ("u_att", -np.inf), ("b_i", "x")])
+    def test_non_finite_tensor_rejected(self, tmp_path, small_dims, name, value):
+        params = init_params(small_dims, np.random.default_rng(5))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, lag=4, seed=5, mode="normal", best_epoch=1)
+        meta, tensors = read_container(path)
+        a = tensors[name]
+        tensors[name] = np.where(np.arange(a.size).reshape(a.shape) == 0, value, a)
+        write_container(path, meta, tensors)
+        with pytest.raises(ArtifactMismatchError, match=f"{name} must hold finite real"):
+            load_checkpoint(path)
+
     def test_kind_checked(self, tmp_path):
         p = tmp_path / "x.bin"
         write_container(p, {"kind": "dataset"}, {})

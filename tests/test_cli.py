@@ -250,6 +250,18 @@ class TestGrid:
         assert trained == []
         assert not (out / "grid_results.csv").exists()
 
+    def test_divergence_exits_3(self, price_dir, built, capsys):
+        cfg, out, base = built
+        grid_cfg = write_config(
+            base / "div.cfg", price_dir, out,
+            **{"train.learning_rate": "1e300", "grid.hidden_sizes": "4",
+               "grid.lags": "2", "grid.l2_coefs": "0.01", "grid.adv_weights": "0.01",
+               "grid.adv_scales": "0.05", "grid.epochs": "2"},
+        )
+        assert run("grid", "--config", str(grid_cfg)) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "grid_results.csv").exists()
+
     def test_lag_deeper_than_dataset_exits_4(self, price_dir, built):
         cfg, out, base = built
         grid_cfg = write_config(
@@ -398,6 +410,17 @@ class TestEval:
         for command in ("eval", "attack"):
             assert run(command, "--config", str(cfg), str(ckpt)) == 4
             assert name in capsys.readouterr().err
+
+
+    def test_non_finite_checkpoint_exits_4(self, trained, capsys):
+        cfg, out, _ = trained
+        ckpt = out / "model.ckpt"
+        meta, tensors = read_container(ckpt)
+        tensors["w_map"][0, 0] = np.nan
+        write_container(ckpt, meta, tensors)
+        for command in ("eval", "attack"):
+            assert run(command, "--config", str(cfg)) == 4
+            assert "w_map" in capsys.readouterr().err
 
 
 class TestAttack:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from advalstm import gridsearch
 from advalstm.errors import ContractError
+from advalstm.evaluation import accuracy, mcc
 from advalstm.gridsearch import GridSpec, grid_search
+from advalstm.model import classify, predict
 from advalstm.synthetic import make_regime_examples
 from advalstm.training import TrainConfig
 
@@ -89,6 +92,26 @@ class TestSearch:
         stage2 = result.cells[4:]
         assert result.best_stage1.val_acc == max(c.val_acc for c in stage1)
         assert result.best_stage2.val_acc == max(c.val_acc for c in stage2)
+
+    def test_cells_score_predict_on_the_returned_params(self, monkeypatch):
+        runs = []
+        real_train = gridsearch.train
+
+        def recording_train(*args, **kwargs):
+            runs.append((args, kwargs, real_train(*args, **kwargs)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(gridsearch, "train", recording_train)
+        grid = GridSpec(hidden_sizes=(4,), lags=(2,), l2_coefs=(0.01, 1.0),
+                        adv_weights=(0.01,), adv_scales=(0.01, 0.1))
+        result = grid_search(grid, noisy_data_for_lag, BASE)
+        assert len(runs) == len(result.cells) == 4
+        for cell, (args, kwargs, trained) in zip(result.cells, runs):
+            assert kwargs == {"track_train_loss": False}
+            assert all(np.isnan(r.train_loss) for r in trained.history)
+            x_val, y_val = args[2], args[3]
+            pred = classify(predict(x_val, trained.params))
+            assert (cell.val_acc, cell.val_mcc) == (accuracy(y_val, pred), mcc(y_val, pred))
 
     def test_callback_sees_every_cell(self):
         grid = GridSpec(hidden_sizes=(4,), lags=(2,), l2_coefs=(0.01,),

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from advalstm import model
 from advalstm.errors import ShapeError
 from advalstm.model import (
+    EVAL_ROWS,
     ModelDims,
     ParamSet,
     backward,
@@ -338,3 +340,74 @@ class TestLstmTrace:
             c_prev = lt.c[t - 1] if t else np.zeros((*lead, u))
             same(lt.c[t], lt.gate_f[t] * c_prev + lt.gate_i[t] * lt.gate_g[t])
             same(lt.h[..., t, :], lt.gate_o[t] * lt.tanh_c[t])
+
+
+def random_model(lag, hidden, seed=0):
+    """Params at one (lag, hidden) pair and a generator for windows of that lag."""
+    params = init_params(ModelDims(feat_dim=11, map_size=hidden, hidden_size=hidden),
+                         np.random.default_rng(seed))
+    rng = np.random.default_rng([seed, lag, hidden])
+    return params, lambda n: rng.standard_normal((n, lag, 11))
+
+
+class TestBlockedScoring:
+    """predict scores EVAL_ROWS windows at a time; the whole-batch forward
+    is the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1024])
+    def test_one_block_is_bitwise_forward(self, n):
+        params, windows = random_model(lag=5, hidden=16)
+        x = windows(n)
+        assert predict(x, params).tobytes() == forward(x, params).yhat.tobytes()
+        window = x[0]
+        yhat = predict(window, params)
+        assert yhat.shape == () and yhat.tobytes() == forward(window, params).yhat.tobytes()
+
+    @pytest.mark.parametrize("n, sizes", [
+        (5, [5]), (1024, [1024]), (1025, [1024, 1]), (2086, [1024, 1024, 38]),
+    ])
+    def test_blocks_start_at_multiples_of_eval_rows(self, monkeypatch, n, sizes):
+        params, windows = random_model(lag=2, hidden=3)
+        x = windows(n)
+        seen, real = [], model.forward
+
+        def recording(xb, p):
+            seen.append((xb.shape[0], np.shares_memory(xb, x)))
+            return real(xb, p)
+
+        monkeypatch.setattr(model, "forward", recording)
+        predict(x, params)
+        assert [size for size, _ in seen] == sizes
+        assert all(view for _, view in seen)  # blocks are views, not copies
+        seen.clear()
+        predict(x[0], params)
+        assert [size for size, _ in seen] == [2]  # a single (T, D) window is not split
+
+    @pytest.mark.parametrize("lag, hidden", [(1, 3), (5, 16), (9, 21)])
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2048, 2086, 5000])
+    def test_many_blocks_match_whole_batch(self, lag, hidden, n):
+        # Within 1e-14, not bit for bit: BLAS may take another kernel for a
+        # short last block, which moves a confidence by a few 1e-16.
+        params, windows = random_model(lag, hidden)
+        x = windows(n)
+        yhat = predict(x, params)
+        assert yhat.shape == (n,)
+        np.testing.assert_allclose(yhat, forward(x, params).yhat, rtol=0, atol=1e-14)
+
+    def test_empty_batch(self, small_params):
+        yhat = predict(np.zeros((0, 3, 11)), small_params)
+        assert yhat.shape == (0,)
+
+    def test_peak_memory_is_one_block(self):
+        params, windows = random_model(lag=5, hidden=16)
+        x = windows(8 * EVAL_ROWS)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(x, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(predict) < 0.25 * peak(forward)

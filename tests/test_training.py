@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from advalstm import training
 from advalstm.errors import ContractError, DivergenceError, ShapeError
-from advalstm.model import forward, head_forward, init_params
+from advalstm.model import forward, head_forward, init_params, predict
 from advalstm.synthetic import make_regime_examples
 from advalstm.training import (
     AdamState,
@@ -247,6 +248,38 @@ class TestAttack:
         clean, attacked = attacked_confidences(x, y, small_params, eps=0.1)
         assert np.all(y * attacked <= y * clean + 1e-12)
 
+    @staticmethod
+    def unblocked(x, y, params, eps):
+        """Fast-gradient attack on the whole batch at once, from the definition."""
+        trace = forward(x, params)
+        norm = np.linalg.norm(params.w_head)
+        active = (y * trace.yhat < 1.0)[..., None]
+        r = np.where(active, -eps * y[..., None] * params.w_head / norm, 0.0)
+        return trace.yhat, (trace.e + r) @ params.w_head + params.b_head
+
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 2086, 5000])
+    def test_blocks_match_the_unblocked_attack(self, small_params, n):
+        x, y = make_regime_examples(n, lag=4, seed=n)
+        clean, attacked = attacked_confidences(x, y, small_params, eps=0.05)
+        want_clean, want_attacked = self.unblocked(x, y, small_params, 0.05)
+        assert clean.shape == attacked.shape == (n,)
+        np.testing.assert_allclose(clean, want_clean, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(attacked, want_attacked, rtol=0, atol=1e-14)
+        assert np.any(attacked != clean)
+
+    def test_single_window(self, small_params, small_batch):
+        x, y = small_batch
+        clean, attacked = attacked_confidences(x[0], y[0], small_params, eps=0.05)
+        want_clean, want_attacked = self.unblocked(x[0], y[0], small_params, 0.05)
+        assert clean.shape == attacked.shape == ()
+        assert clean == want_clean
+        np.testing.assert_allclose(attacked, want_attacked, rtol=0, atol=1e-14)
+
+    def test_empty_batch(self, small_params):
+        clean, attacked = attacked_confidences(np.zeros((0, 3, 11)), np.zeros(0),
+                                               small_params, eps=0.05)
+        assert clean.shape == attacked.shape == (0,)
+
 
 class TestAdam:
     def test_zero_grad_keeps_params_bitwise(self, small_params):
@@ -375,12 +408,55 @@ class TestTrainLoop:
         )
         assert np.isnan(result.history[-1].val_acc)
 
+    @pytest.mark.parametrize("mode", ["normal", "adversarial"])
+    def test_untracked_train_loss_changes_nothing_else(self, small_dims, mode):
+        x, y = make_regime_examples(96, lag=3, seed=4)
+        config = TrainConfig(mode=mode, epochs=5, batch_size=32, seed=2,
+                             adv_weight=0.5, adv_scale=0.05)
+        a = train(x[:64], y[:64], x[64:], y[64:], small_dims, config)
+        b = train(x[:64], y[:64], x[64:], y[64:], small_dims, config, track_train_loss=False)
+        assert a.params.to_vector().tobytes() == b.params.to_vector().tobytes()
+        assert a.final_params.to_vector().tobytes() == b.final_params.to_vector().tobytes()
+        assert a.best_epoch == b.best_epoch
+        assert a.val_yhat.tobytes() == b.val_yhat.tobytes()
+        assert [(r.epoch, r.val_loss, r.val_acc) for r in a.history] == \
+            [(r.epoch, r.val_loss, r.val_acc) for r in b.history]
+        assert all(np.isfinite(r.train_loss) for r in a.history)
+        assert all(np.isnan(r.train_loss) for r in b.history)
+
+    @pytest.mark.parametrize("epochs, n_val, patience", [(12, 32, 3), (0, 32, 0), (3, 0, 0)],
+                             ids=["early-stop", "zero-epochs", "no-validation"])
+    def test_val_yhat_scores_the_returned_params(self, small_dims, epochs, n_val, patience):
+        x, y = make_regime_examples(64 + n_val, lag=3, seed=6, label_noise=0.3)
+        result = train(x[:64], y[:64], x[64:], y[64:], small_dims,
+                       TrainConfig(epochs=epochs, batch_size=16, seed=3, patience=patience))
+        assert result.val_yhat.shape == (n_val,)
+        assert result.val_yhat.tobytes() == predict(x[64:], result.params).tobytes()
+
     def test_divergence_raises(self, small_dims):
         x, y = self.easy_data(48)
         config = TrainConfig(epochs=3, batch_size=16, seed=1,
                              learning_rate=1e160, l2_coef=1.0)
         with pytest.raises(DivergenceError):
             train(x, y, x, y, small_dims, config)
+
+    @pytest.mark.parametrize("track_train_loss", [True, False])
+    def test_non_finite_params_raise_at_epoch_end(self, small_dims, monkeypatch,
+                                                  track_train_loss):
+        # An infinite mapping bias saturates tanh, so every confidence and
+        # loss stays finite: only the parameter check can see it.
+        real_step = training.adam_step
+
+        def poisoned_step(params, *args, **kwargs):
+            params, state = real_step(params, *args, **kwargs)
+            params.b_map[0] = np.inf
+            return params, state
+
+        monkeypatch.setattr(training, "adam_step", poisoned_step)
+        x, y = self.easy_data(48)
+        config = TrainConfig(epochs=1, batch_size=48, seed=1, l2_coef=0.0)
+        with pytest.raises(DivergenceError, match="parameters are non-finite"):
+            train(x, y, x, y, small_dims, config, track_train_loss=track_train_loss)
 
     def test_empty_train_rejected(self, small_dims):
         with pytest.raises(ContractError):
