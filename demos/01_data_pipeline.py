@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from advalstm.market_data import (
-    SplitSpec, align_trading_days, compute_features, ingest_eod, label_and_window,
+    PRICE_COLUMNS, SplitSpec, align_trading_days, compute_features, ingest_eod, label_and_window,
 )
 from advalstm.synthetic import write_regime_price_csv
 
@@ -16,14 +16,16 @@ symbols = write_regime_price_csv(work, n_stocks=4, n_days=150, seed=7)
 print("wrote", len(symbols), "price files to", work)
 print((work / f"{symbols[0]}.csv").read_text().splitlines()[0])  # the header
 
-# ingest: parse, validate, sort; one list of EOD records per stock
-records = ingest_eod(work)
-first = records[symbols[0]][0]
-print("first record:", first.date, "close", first.close, "volume", first.volume)
+# ingest: parse and check whole CSV columns at once, then sort; one
+# EodSeries per stock: date ordinals plus an (n, 5) price array
+series = ingest_eod(work)
+first = series[symbols[0]]
+print("first row:", dt.date.fromordinal(int(first.dates[0])),
+      dict(zip(PRICE_COLUMNS, first.prices[0].tolist())))
 
-# align: intersect trading calendars, drop stocks with poor coverage, and
-# stack what is left into one (stocks, days, price columns) panel
-aligned = align_trading_days(records, min_coverage=0.98)
+# align: drop stocks with poor coverage, intersect the others' trading
+# calendars, and stack what is left into one (stocks, days, price columns) panel
+aligned = align_trading_days(series, min_coverage=0.98)
 print("aligned", len(aligned.stocks), "stocks over", len(aligned.calendar), "days,",
       "dropped", aligned.dropped, "- price panel", aligned.prices.shape)
 

@@ -42,7 +42,7 @@ from .market_data import (
     PRICE_COLUMNS,
     AlignedData,
     DatasetSplits,
-    EodRecord,
+    EodSeries,
     SplitArrays,
     SplitSpec,
     align_trading_days,

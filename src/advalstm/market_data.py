@@ -1,12 +1,12 @@
 """End-of-day market data pipeline.
 
 Raw per-stock price rows go through four stages: ingestion (CSV ->
-validated, date-sorted series of records, ragged across stocks),
-trading-day alignment (intersection calendar across stocks, stored as
-one dense (stocks, days, price column) panel), feature computation (11
-price ratios for every stock-day of the panel at once), and
-labeling/windowing (lag windows with next-day movement labels,
-partitioned into temporal train/val/test splits).
+whole columns parsed and checked at once -> one date-sorted EodSeries of
+date ordinals and prices per stock), trading-day alignment (intersection
+calendar across stocks, stored as one dense (stocks, days, price column)
+panel), feature computation (11 price ratios for every stock-day of the
+panel at once), and labeling/windowing (lag windows with next-day
+movement labels, partitioned into temporal train/val/test splits).
 
 All prices are taken as given; adjusted close is used for movement
 labels and moving averages, raw close for the close-to-close return.
@@ -14,10 +14,12 @@ labels and moving averages, raw close for the close-to-close return.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
+import itertools
 import math
-import operator
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +39,7 @@ CSV_COLUMNS = ("stock", "date", "open", "high", "low", "close", "adj_close", "vo
 
 # Last axis of AlignedData.prices.
 PRICE_COLUMNS = ("open", "high", "low", "close", "adj_close")
+NUMERIC_COLUMNS = (*PRICE_COLUMNS, "volume")
 
 FEATURE_NAMES = (
     "c_open",
@@ -66,16 +69,14 @@ SPLIT_NAMES = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
-class EodRecord:
-    """One trading day of raw prices for one stock."""
+class EodSeries:
+    """One stock's trading days in columnar form, sorted by date."""
 
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    adj_close: float
-    volume: float
+    dates: np.ndarray   # (n,) int64 proleptic Gregorian ordinals, increasing
+    prices: np.ndarray  # (n, len(PRICE_COLUMNS)) float64
+
+    def __len__(self) -> int:
+        return int(self.dates.shape[0])
 
 
 @dataclass(frozen=True)
@@ -159,16 +160,26 @@ class DatasetSplits:
         return out
 
 
-def _parse_row(row: dict, path: str, line_no: int) -> tuple[str, EodRecord]:
+def _parse_date(cell) -> dt.date:
+    """Exactly YYYY-MM-DD on every Python (3.11's fromisoformat takes more)."""
+    text = cell.strip()
+    day = dt.date.fromisoformat(text)
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return day
+
+
+def _check_row(row: dict, path: str, line_no: int) -> None:
+    """Raise the error of one row's first problem, checking in column order."""
     stock = (row.get("stock") or "").strip()
     if not stock:
         raise ParseError(f"{path}:{line_no}: empty stock id")
     try:
-        date = dt.date.fromisoformat(row["date"].strip())
+        date = _parse_date(row["date"])
     except (ValueError, AttributeError) as exc:
         raise ParseError(f"{path}:{line_no}: bad date {row.get('date')!r}: {exc}") from exc
     values = {}
-    for col in (*PRICE_COLUMNS, "volume"):
+    for col in NUMERIC_COLUMNS:
         try:
             values[col] = float(row[col])
         except (TypeError, ValueError) as exc:
@@ -185,40 +196,68 @@ def _parse_row(row: dict, path: str, line_no: int) -> tuple[str, EodRecord]:
         else:
             continue
         raise DataError(f"{path}:{line_no}: {problem} {col}={value} for {stock} on {date}")
-    return stock, EodRecord(date=date, **values)
 
 
-def _read_csv(path: Path, into: dict[str, list[EodRecord]]) -> None:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty file")
-        missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"{path}: header is missing columns {missing}")
-        bad_bounds = 0
-        first_bad = None
-        for line_no, row in enumerate(reader, start=2):
-            stock, rec = _parse_row(row, str(path), line_no)
-            if rec.low > min(rec.open, rec.close) or rec.high < max(rec.open, rec.close):
-                bad_bounds += 1
-                first_bad = first_bad or line_no
-            into.setdefault(stock, []).append(rec)
-        if bad_bounds:
-            warnings.warn(
-                f"{path}: {bad_bounds} row(s) where low/high do not bound "
-                f"open/close (first at line {first_bad})",
-                MarketSemanticsWarning,
-                stacklevel=3,
-            )
+def _read_csv(path: Path, codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check one file a column at a time; return its stock codes (values
+    of ``codes``, which learns new ids), date ordinals and NUMERIC_COLUMNS.
+
+    Rows read as csv.DictReader reads them: blank lines are skipped and
+    not counted (line numbers count the rest from 2), a column named
+    twice is read from its last place, a short row reads None past its end.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise ParseError(f"{path}: header is missing columns {missing}")
+    n, last = len(rows), {name: i for i, name in enumerate(header)}
+    full = min(map(len, rows), default=0) >= len(header)  # else pad with None to the header
+    table = list(zip(header, *rows) if full else itertools.zip_longest(header, *rows))
+    column = {c: table[last[c]][1:] for c in CSV_COLUMNS}
+    del rows, table
+    stripped = {raw: (raw or "").strip() for raw in set(column["stock"])}
+    code_of = {raw: codes.setdefault(s, len(codes)) if s else -1 for raw, s in stripped.items()}
+    stock_code = np.fromiter(map(code_of.__getitem__, column["stock"]), np.intp, n)
+    ordinal_of = dict.fromkeys(set(column["date"]), 0)  # 0: not a date
+    for raw in ordinal_of:
+        with contextlib.suppress(ValueError, AttributeError):
+            ordinal_of[raw] = _parse_date(raw).toordinal()
+    dates = np.fromiter(map(ordinal_of.__getitem__, column["date"]), np.int64, n)
+    values = np.empty((n, len(NUMERIC_COLUMNS)))
+    try:
+        for j, col in enumerate(NUMERIC_COLUMNS):
+            values[:, j] = np.fromiter(map(float, column[col]), np.float64, n)
+    except (TypeError, ValueError):  # a cell is not a number: find it row by row
+        bad = np.ones(n, dtype=bool)
+    else:
+        bad = ((stock_code < 0) | (dates == 0) | ~np.isfinite(values).all(axis=1)
+               | (values[:, :-1] <= 0.0).any(axis=1) | (values[:, -1] < 0.0))
+    for i in range(int(np.argmax(bad)) if bad.any() else n, n):  # raises at the first bad row
+        _check_row({c: column[c][i] for c in CSV_COLUMNS}, str(path), i + 2)
+
+    open_, high, low, close = values[:, :4].T  # PRICE_COLUMNS order
+    unbounded = np.flatnonzero((low > np.minimum(open_, close)) | (high < np.maximum(open_, close)))
+    if unbounded.size:
+        warnings.warn(f"{path}: {unbounded.size} row(s) where low/high do not bound open/close "
+                      f"(first at line {unbounded[0] + 2})", MarketSemanticsWarning, stacklevel=3)
+    return stock_code, dates, values
 
 
-def ingest_eod(path: str | Path) -> dict[str, list[EodRecord]]:
+def ingest_eod(path: str | Path) -> dict[str, EodSeries]:
     """Read one CSV file (or every ``*.csv`` in a directory) into
-    per-stock series, sorted by date.
+    date-sorted series, in sorted stock order.
 
-    Raises ParseError for malformed rows (with file:line context),
-    DataError for non-positive prices or duplicate (stock, date) pairs.
+    Raises ParseError for malformed rows (with file:line context) and
+    non-UTF-8 files; DataError for non-positive prices, duplicate
+    (stock, date) pairs, or no data rows at all.
     """
     path = Path(path)
     if not path.exists():
@@ -227,29 +266,32 @@ def ingest_eod(path: str | Path) -> dict[str, list[EodRecord]]:
     if not files:
         raise DataError(f"no .csv files under {path}")
 
-    series: dict[str, list[EodRecord]] = {}
-    for f in files:
-        _read_csv(f, series)
+    codes, parts = {}, []  # stock id -> code; one file's arrays each
+    for f in files:  # not a comprehension: the warnings' stacklevel counts frames
+        parts.append(_read_csv(f, codes))
+    stock_code, dates, values = map(np.concatenate, zip(*parts))
+    del parts  # not held through the sort, which is ingest's memory peak
+    if not codes:
+        raise DataError(f"no data rows found under {path}")
+    stocks = sorted(codes)
+    stock_idx = np.argsort([codes[s] for s in stocks])[stock_code]  # code -> sorted position
+    order = np.lexsort((dates, stock_idx))
+    stock_idx, dates, prices = stock_idx[order], dates[order], values[order, :len(PRICE_COLUMNS)]
+    dup = np.flatnonzero((stock_idx[1:] == stock_idx[:-1]) & (dates[1:] == dates[:-1]))
+    if dup.size:
+        raise DataError(f"duplicate date {dt.date.fromordinal(int(dates[dup[0]]))} "
+                        f"for stock {stocks[stock_idx[dup[0]]]}")
+    bounds = np.searchsorted(stock_idx, np.arange(len(stocks) + 1))
+    return {s: EodSeries(dates[a:b], prices[a:b]) for s, a, b in zip(stocks, bounds, bounds[1:])}
 
-    out: dict[str, list[EodRecord]] = {}
-    for stock in sorted(series):
-        records = sorted(series[stock], key=lambda r: r.date)
-        for prev, cur in zip(records, records[1:]):
-            if prev.date == cur.date:
-                raise DataError(f"duplicate date {cur.date} for stock {stock}")
-        out[stock] = records
-    return out
 
-
-def align_trading_days(
-    series_by_stock: dict[str, list[EodRecord]],
-    min_coverage: float = 0.98,
-) -> AlignedData:
+def align_trading_days(series_by_stock: dict[str, EodSeries],
+                       min_coverage: float = 0.98) -> AlignedData:
     """Restrict every stock to the dates present in all stocks and stack
     the survivors into one price panel.
 
-    ``series_by_stock`` holds date-sorted series with one record per
-    date, as ``ingest_eod`` returns them.  Stocks covering less than
+    ``series_by_stock`` holds date-sorted series with one row per date,
+    as ``ingest_eod`` returns them.  Stocks covering less than
     ``min_coverage`` of the union of dates are dropped before
     intersecting, so one patchy series cannot wipe out the calendar.
     Raises AlignmentError when nothing survives.
@@ -257,26 +299,21 @@ def align_trading_days(
     if not series_by_stock:
         raise ContractError("align_trading_days needs at least one stock series")
 
-    dates_by_stock = {s: {r.date for r in recs} for s, recs in series_by_stock.items()}
-    union: set[dt.date] = set()
-    for dates in dates_by_stock.values():
-        union |= dates
-
-    kept = [s for s, d in sorted(dates_by_stock.items()) if len(d) >= min_coverage * len(union)]
-    dropped = [s for s in sorted(dates_by_stock) if s not in set(kept)]
+    n_union = np.unique(np.concatenate([s.dates for s in series_by_stock.values()])).size
+    kept = [s for s in sorted(series_by_stock) if len(series_by_stock[s]) >= min_coverage * n_union]
+    dropped = sorted(set(series_by_stock) - set(kept))
     if not kept:
         raise AlignmentError(
             f"all {len(series_by_stock)} stocks fall below coverage ratio {min_coverage}"
         )
 
-    common = set.intersection(*(dates_by_stock[s] for s in kept))
-    if not common:
+    held = [series_by_stock[s] for s in kept]
+    days, count = np.unique(np.concatenate([s.dates for s in held]), return_counts=True)
+    common = days[count == len(held)]
+    if not common.size:
         raise AlignmentError("no trading day is shared by all retained stocks")
-    calendar = sorted(common)
-
-    row = operator.attrgetter(*PRICE_COLUMNS)
-    rows = [row(r) for s in kept for r in series_by_stock[s] if r.date in common]
-    prices = np.array(rows, dtype=np.float64).reshape(len(kept), len(calendar), len(PRICE_COLUMNS))
+    prices = np.stack([s.prices[np.isin(s.dates, common)] for s in held])
+    calendar = [dt.date.fromordinal(d) for d in common.tolist()]
     return AlignedData(stocks=kept, calendar=calendar, prices=prices, dropped=dropped)
 
 

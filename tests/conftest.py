@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from advalstm.market_data import EodRecord
+from advalstm.market_data import PRICE_COLUMNS, EodSeries
 from advalstm.model import ModelDims, init_params
 from advalstm.synthetic import make_regime_examples
 
@@ -26,36 +26,16 @@ def small_batch():
 
 def flat_series(n: int, price: float = 10.0, start: dt.date = dt.date(2020, 1, 1)):
     """n days of a constant-price stock."""
-    return [
-        EodRecord(
-            date=start + dt.timedelta(days=i),
-            open=price,
-            high=price,
-            low=price,
-            close=price,
-            adj_close=price,
-            volume=1000.0,
-        )
-        for i in range(n)
-    ]
+    return series_from_closes([price] * n, start)
 
 
 def series_from_closes(closes, start: dt.date = dt.date(2020, 1, 1)):
     """A series whose open/high/low/close/adj_close all equal the given values."""
-    return [
-        EodRecord(
-            date=start + dt.timedelta(days=i),
-            open=float(c),
-            high=float(c),
-            low=float(c),
-            close=float(c),
-            adj_close=float(c),
-            volume=1000.0,
-        )
-        for i, c in enumerate(closes)
-    ]
+    closes = np.asarray(closes, dtype=np.float64)
+    dates = start.toordinal() + np.arange(len(closes), dtype=np.int64)
+    return EodSeries(dates=dates, prices=np.repeat(closes[:, None], len(PRICE_COLUMNS), axis=1))
 
 
 def price_rows(series) -> np.ndarray:
-    """(n_days, 5) open/high/low/close/adj_close of a list of records."""
-    return np.array([[r.open, r.high, r.low, r.close, r.adj_close] for r in series])
+    """(n_days, 5) open/high/low/close/adj_close of a series."""
+    return series.prices

@@ -4,13 +4,24 @@ The finite-difference gradient here is deliberately dumb: central
 differences on the flattened parameter vector, one coordinate at a
 time.  It shares no code with the analytic backward pass it checks.
 The feature oracle likewise computes one stock-day at a time from the
-definition, sharing no code with the panel computation.
+definition, sharing no code with the panel computation, and the ingest
+oracle reads CSVs one dict per row, sharing no code with the columnar
+ingest.
 """
 
 from __future__ import annotations
 
+import csv
+import datetime as dt
+import math
+import re
+import warnings
+from pathlib import Path
+
 import numpy as np
 
+from advalstm.errors import DataError, MarketSemanticsWarning, ParseError
+from advalstm.market_data import CSV_COLUMNS
 from advalstm.model import ParamSet
 
 FD_STEP = 1e-5
@@ -60,3 +71,81 @@ def feature_oracle(rows, t: int) -> np.ndarray:
         avg = sum(adj[t - i] for i in range(k)) / k
         feats.append(avg / adj[t] - 1.0)
     return np.array(feats)
+
+
+def _oracle_row(row: dict, path: str, line_no: int):
+    stock = (row.get("stock") or "").strip()
+    if not stock:
+        raise ParseError(f"{path}:{line_no}: empty stock id")
+    try:
+        text = row["date"].strip()
+        date = dt.date.fromisoformat(text)
+        if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", text, flags=re.ASCII):
+            raise ValueError(f"Invalid isoformat string: {text!r}")  # Python 3.10's wording
+    except (ValueError, AttributeError) as exc:
+        raise ParseError(f"{path}:{line_no}: bad date {row.get('date')!r}: {exc}") from exc
+    values = {}
+    for col in ("open", "high", "low", "close", "adj_close", "volume"):
+        try:
+            values[col] = float(row[col])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"{path}:{line_no}: column {col!r} is not a number: {row.get(col)!r}"
+            ) from exc
+    for col, value in values.items():
+        if not math.isfinite(value):
+            problem = "non-finite"
+        elif col == "volume" and value < 0.0:
+            problem = "negative"
+        elif col != "volume" and value <= 0.0:
+            problem = "non-positive"
+        else:
+            continue
+        raise DataError(f"{path}:{line_no}: {problem} {col}={value} for {stock} on {date}")
+    return stock, date, values
+
+
+def ingest_oracle(path) -> dict[str, tuple[list[int], np.ndarray]]:
+    """Per-row reference for ``market_data.ingest_eod``: one
+    csv.DictReader dict and one check per row, then a per-stock sort and
+    a pairwise duplicate scan.  It follows the ingest contract (UTF-8
+    with an optional BOM, dates exactly YYYY-MM-DD, an error when no
+    file holds a data row).  Returns {stock: (date ordinals, (n, 5)
+    open/high/low/close/adj_close)} in sorted stock order."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"input path does not exist: {path}")
+    files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
+    if not files:
+        raise DataError(f"no .csv files under {path}")
+    series: dict[str, list] = {}
+    for f in files:
+        with open(f, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ParseError(f"{f}: empty file")
+            missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
+            if missing:
+                raise ParseError(f"{f}: header is missing columns {missing}")
+            bad_bounds, first_bad = 0, None
+            for line_no, row in enumerate(reader, start=2):
+                stock, date, v = _oracle_row(row, str(f), line_no)
+                if v["low"] > min(v["open"], v["close"]) or v["high"] < max(v["open"], v["close"]):
+                    bad_bounds += 1
+                    first_bad = first_bad or line_no
+                prices = [v[c] for c in ("open", "high", "low", "close", "adj_close")]
+                series.setdefault(stock, []).append((date, prices))
+        if bad_bounds:
+            warnings.warn(f"{f}: {bad_bounds} row(s) where low/high do not bound "
+                          f"open/close (first at line {first_bad})", MarketSemanticsWarning)
+    if not series:
+        raise DataError(f"no data rows found under {path}")
+    out = {}
+    for stock in sorted(series):
+        records = sorted(series[stock], key=lambda r: r[0])
+        for prev, cur in zip(records, records[1:]):
+            if prev[0] == cur[0]:
+                raise DataError(f"duplicate date {cur[0]} for stock {stock}")
+        out[stock] = ([d.toordinal() for d, _ in records],
+                      np.array([p for _, p in records], dtype=np.float64).reshape(-1, 5))
+    return out

@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import os
 import struct
@@ -56,6 +57,9 @@ def write_config(path: Path, price_dir, out_dir, **overrides) -> Path:
     keys.update({k: str(v) for k, v in overrides.items()})
     path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
     return path
+
+
+HEADER = b"stock,date,open,high,low,close,adj_close,volume\n"
 
 
 def run(*argv) -> int:
@@ -128,6 +132,52 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "movement" in err and symbol in err and lines[1 + 78].split(",")[1] in err
         assert not (tmp_path / "out" / "dataset.bin").exists()
+
+
+    def test_non_utf8_csv_exits_2_naming_the_file(self, tmp_path, capsys):
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        (prices / "latin1.csv").write_bytes(HEADER + "\xc4,2020-01-02,1,1,1,1,1,1\n".encode("latin-1"))
+        cfg = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == 2
+        assert "latin1.csv" in capsys.readouterr().err
+
+    def test_bom_header_builds_the_same_dataset(self, price_dir, tmp_path):
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        for f in price_dir.glob("*.csv"):
+            (prices / f.name).write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+        digests = []
+        for name, data in (("plain", price_dir), ("bom", prices)):
+            cfg = write_config(tmp_path / f"{name}.cfg", data, tmp_path / name)
+            assert run("build", "--config", str(cfg)) == 0
+            digests.append((tmp_path / name / "dataset.bin").read_bytes())
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("form", ["basic", "week"])
+    def test_date_other_than_yyyy_mm_dd_exits_2(self, tmp_path, capsys, form):
+        prices = tmp_path / "prices"
+        (symbol,) = write_regime_price_csv(prices, n_stocks=1, n_days=80, seed=11)
+        path = prices / f"{symbol}.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[10].split(",")
+        day = dt.date.fromisoformat(cells[1])
+        year, week, weekday = day.isocalendar()
+        cells[1] = day.strftime("%Y%m%d") if form == "basic" else f"{year}-W{week:02d}-{weekday}"
+        lines[10] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == 2
+        assert f"{symbol}.csv:11: bad date {cells[1]!r}" in capsys.readouterr().err
+
+    def test_header_only_csvs_exit_2_saying_no_rows(self, tmp_path, capsys):
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        for name in ("a.csv", "b.csv"):
+            (prices / name).write_bytes(HEADER)
+        cfg = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == 2
+        assert f"no data rows found under {prices}" in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import datetime as dt
 import io
 import tempfile
@@ -26,7 +25,7 @@ from advalstm.market_data import (
     FEATURE_NAMES,
     MIN_HISTORY,
     PRICE_COLUMNS,
-    EodRecord,
+    EodSeries,
     SplitSpec,
     align_trading_days,
     compute_features,
@@ -35,7 +34,7 @@ from advalstm.market_data import (
 )
 
 from conftest import flat_series, price_rows, series_from_closes
-from helpers import feature_oracle
+from helpers import feature_oracle, ingest_oracle
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -112,7 +111,7 @@ class TestIngest:
         p = tmp_path / "shuffled.csv"
         write_csv(p, [price_row("A", 2, 12), price_row("A", 0, 10), price_row("A", 1, 11)])
         series = ingest_eod(p)
-        dates = [r.date for r in series["A"]]
+        dates = series["A"].dates.tolist()
         assert dates == sorted(dates)
 
     def test_directory_of_files_and_sorted_stocks(self, tmp_path):
@@ -126,6 +125,100 @@ class TestIngest:
         write_csv(p, [f"A,{day(0)},10,9,10,10,10,1000"])  # high < open
         with pytest.warns(MarketSemanticsWarning, match="1 row"):
             ingest_eod(p)
+
+
+PRICE_TEXT = ("10", "10.5", " 9.75 ", "1_0", "1e1", "11", "0.5", "12.000")
+VOLUME_TEXT = ("0", "1000", "1_000", " 5 ", "2.5")
+FAULTS = {
+    "number": ("x", "1__0", "", "1.0.0"),
+    "date": ("2020-13-01", "20200102", "2020-W01-1", "01/02/2020", "", "2020-1-02"),
+    "stock": ("", "   "),
+    "non_finite": ("+nan", "1e400", "-inf", "NaN"),
+    "price": ("0", "-1.5", "-0"),
+    "volume": ("-3", "-0.5"),
+}
+
+
+@st.composite
+def raw_markets(draw):
+    """A multi-file CSV market as {file name: text}, with at most one
+    injected fault; returns (files, fault kind or None)."""
+    stocks = draw(st.lists(st.sampled_from(("A", "BB", "Ä", "c d")), min_size=1, max_size=3,
+                           unique=True))
+    rows = []
+    for stock in stocks:
+        for i in sorted(draw(st.sets(st.integers(0, 9), max_size=6))):
+            pad = draw(st.sampled_from(("", " ", "\t")))
+            rows.append({"stock": pad + stock + pad, "date": day(i) + pad,
+                         **{c: draw(st.sampled_from(PRICE_TEXT)) for c in PRICE_COLUMNS},
+                         "volume": draw(st.sampled_from(VOLUME_TEXT))})
+    rows = draw(st.permutations(rows))
+    n_files = draw(st.integers(1, 3))
+    owner = [draw(st.integers(0, n_files - 1)) for _ in rows]
+    fault = draw(st.sampled_from((None, *FAULTS, "short", "duplicate"))) if rows else None
+    cut = set()
+    if fault == "duplicate":
+        twin = dict(draw(st.sampled_from(rows)), close="99")
+        rows.append(twin)
+        owner.append(draw(st.integers(0, n_files - 1)))
+    elif fault == "short":
+        cut.add(draw(st.integers(0, len(rows) - 1)))
+    elif fault:
+        target = draw(st.integers(0, len(rows) - 1))
+        column = {"number": draw(st.sampled_from(CSV_COLUMNS[2:])), "date": "date",
+                  "stock": "stock", "non_finite": draw(st.sampled_from(CSV_COLUMNS[2:])),
+                  "price": draw(st.sampled_from(PRICE_COLUMNS)), "volume": "volume"}[fault]
+        rows[target] = dict(rows[target], **{column: draw(st.sampled_from(FAULTS[fault]))})
+    files = {}
+    for f in range(n_files):
+        header = list(draw(st.permutations(CSV_COLUMNS)))
+        for extra in draw(st.lists(st.sampled_from(("note", *CSV_COLUMNS)), max_size=2)):
+            header.insert(draw(st.integers(0, len(header))), extra)  # a repeat is read last
+        last = {name: i for i, name in enumerate(header)}
+        needed = max(last[c] for c in CSV_COLUMNS) + 1
+        lines = [",".join(header)]
+        for r, row in enumerate(rows):
+            if owner[r] != f:
+                continue
+            cells = [row[name] if last.get(name) == i and name in row else "zz"
+                     for i, name in enumerate(header)]
+            if r in cut:
+                cells = cells[: draw(st.integers(1, needed - 1))]  # 0 cells is a blank line
+            else:
+                cells = cells[: draw(st.integers(needed, len(cells)))]  # drop unread tail cells
+                cells += ["x"] * draw(st.integers(0, 2))  # over-long rows
+            lines.append(",".join(cells))
+            lines += [""] * draw(st.integers(0, 1))  # blank lines
+        files[f"part-{f}.csv"] = "\n".join(lines) + "\n"
+    return files, fault
+
+
+def ingest_outcome(ingest, path):
+    """(series or (exception type, message), MarketSemanticsWarning texts)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = {s: (list(map(int, dates)), prices.tobytes())
+                      for s, (dates, prices) in ingest(path).items()}
+        except (ParseError, DataError) as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught if w.category is MarketSemanticsWarning]
+
+
+class TestIngestMatchesRowOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(market=raw_markets())
+    def test_same_series_errors_and_warnings(self, market):
+        files, fault = market
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                (Path(tmp) / name).write_text(text, encoding="utf-8")
+            columnar = ingest_outcome(
+                lambda p: {s: (e.dates, e.prices) for s, e in ingest_eod(p).items()}, tmp)
+            expected = ingest_outcome(ingest_oracle, tmp)
+        assert columnar == expected
+        if fault:
+            assert isinstance(expected[0], tuple), "the injected fault was not caught"
 
 
 class TestAlign:
@@ -161,9 +254,11 @@ class TestAlign:
         assert aligned.stocks == ["A", "B"]
         assert aligned.prices.shape == (2, 90, len(PRICE_COLUMNS))
         for prices, series in zip(aligned.prices, (a, b)):
-            on_calendar = [r for r in series if r.date in set(aligned.calendar)]
-            assert [r.date for r in on_calendar] == aligned.calendar
-            np.testing.assert_array_equal(prices, price_rows(on_calendar))
+            on_calendar = [i for i, d in enumerate(series.dates.tolist())
+                           if dt.date.fromordinal(d) in set(aligned.calendar)]
+            dates = [dt.date.fromordinal(d) for d in series.dates[on_calendar].tolist()]
+            assert dates == aligned.calendar
+            np.testing.assert_array_equal(prices, price_rows(series)[on_calendar])
         np.testing.assert_array_equal(aligned.adj_close, aligned.prices[:, :, 4])
 
 
@@ -197,19 +292,9 @@ class TestFeatures:
         assert feats[idx] == pytest.approx(-0.4, abs=1e-15)
 
     def test_full_vector_hand_case(self):
-        # 29 constant days, then one crafted record with distinct fields.
+        # 29 constant days, then one crafted day with distinct fields.
         series = series_from_closes([8.0] * 30)
-        last = series[29]
-        crafted = type(last)(
-            date=last.date,
-            open=9.0,
-            high=12.0,
-            low=6.0,
-            close=10.0,
-            adj_close=10.0,
-            volume=1.0,
-        )
-        series[29] = crafted
+        series.prices[29] = [9.0, 12.0, 6.0, 10.0, 10.0]  # open, high, low, close, adj_close
         feats = features(series)[29]
         # Hand-computed, in FEATURE_NAMES order.
         def kday(k):
@@ -356,10 +441,11 @@ class TestLabelAndWindow:
         # overflows to inf (label +1) while its lag-1 window stays finite.
         series = flat_series(80)
         for day, adj_close in ((78, 1e-10), (79, 1e300)):
-            series[day] = dataclasses.replace(series[day], adj_close=adj_close)
+            series.prices[day, PRICE_COLUMNS.index("adj_close")] = adj_close
         aligned = align_trading_days({"A": series})
         spec = make_spec(lag=1, test_end=dt.date(2020, 4, 1))
-        with pytest.raises(DataError, match=f"movement for A on {series[78].date}"), \
+        anchor = dt.date.fromordinal(int(series.dates[78]))
+        with pytest.raises(DataError, match=f"movement for A on {anchor}"), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptySplitWarning)
             label_and_window(aligned, spec)
@@ -424,11 +510,8 @@ def random_series(seed, n_days=60):
     open_ = close * (1.0 + rng.normal(0.0, 0.01, n_days))
     high = np.maximum(open_, close) * (1.0 + rng.uniform(0.0, 0.01, n_days))
     low = np.minimum(open_, close) * (1.0 - rng.uniform(0.0, 0.01, n_days))
-    return [
-        EodRecord(date=dt.date(2020, 1, 1) + dt.timedelta(days=i), open=open_[i],
-                  high=high[i], low=low[i], close=close[i], adj_close=adj[i], volume=1.0)
-        for i in range(n_days)
-    ]
+    dates = dt.date(2020, 1, 1).toordinal() + np.arange(n_days, dtype=np.int64)
+    return EodSeries(dates=dates, prices=np.stack([open_, high, low, close, adj], axis=1))
 
 
 def rows_by_anchor(splits):
@@ -450,12 +533,13 @@ class TestColumnarBuild:
         expected = {"train": [], "val": [], "test": []}
         for s_idx, stock in enumerate(sorted(series)):
             records = series[stock]
+            adj = records.prices[:, PRICE_COLUMNS.index("adj_close")]
             for t in range(MIN_HISTORY - 1 + spec.lag - 1, len(records) - 1):
-                day = records[t].date
+                day = dt.date.fromordinal(int(records.dates[t]))
                 if day >= spec.test_end:
                     continue
                 name = "train" if day < spec.train_end else "val" if day < spec.val_end else "test"
-                movement = records[t + 1].adj_close / records[t].adj_close - 1.0
+                movement = adj[t + 1] / adj[t] - 1.0
                 if spec.neg_threshold < movement < spec.pos_threshold:
                     continue
                 rows = price_rows(records)
@@ -480,9 +564,9 @@ class TestColumnarBuild:
     def test_no_look_ahead(self, seed, day, column, factor):
         series = random_series(seed)
         spec = make_spec(lag=4)
-        perturbed = list(series)
-        rec = perturbed[day]
-        perturbed[day] = dataclasses.replace(rec, **{column: getattr(rec, column) * factor})
+        prices = series.prices.copy()
+        prices[day, PRICE_COLUMNS.index(column)] *= factor
+        perturbed = EodSeries(series.dates, prices)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptySplitWarning)
             before = rows_by_anchor(label_and_window(align_trading_days({"A": series}), spec))
