@@ -67,6 +67,10 @@ DEFAULT_NEG_THRESHOLD = -0.005  # movement <= -0.50% labels -1
 
 SPLIT_NAMES = ("train", "val", "test")
 
+# Data rows a CSV file is checked in at once; a file's cells are held as
+# strings only one block at a time.
+BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class EodSeries:
@@ -198,38 +202,25 @@ def _check_row(row: dict, path: str, line_no: int) -> None:
         raise DataError(f"{path}:{line_no}: {problem} {col}={value} for {stock} on {date}")
 
 
-def _read_csv(path: Path, codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check one file a column at a time; return its stock codes (values
-    of ``codes``, which learns new ids), date ordinals and NUMERIC_COLUMNS.
+def _ordinal(cell) -> int:
+    """The date ordinal of an exact YYYY-MM-DD cell, 0 for anything else."""
+    with contextlib.suppress(ValueError, AttributeError):
+        return _parse_date(cell).toordinal()
+    return 0
 
-    Rows read as csv.DictReader reads them: blank lines are skipped and
-    not counted (line numbers count the rest from 2), a column named
-    twice is read from its last place, a short row reads None past its end.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    if header is None:
-        raise ParseError(f"{path}: empty file")
-    missing = [c for c in CSV_COLUMNS if c not in header]
-    if missing:
-        raise ParseError(f"{path}: header is missing columns {missing}")
+
+def _check_block(rows: list[list[str]], header: list[str], codes: dict[str, int],
+                 path: Path, line0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check consecutive data rows of one file, the first at line
+    ``line0``, a column at a time; return their stock codes (values of
+    ``codes``, which learns new ids), date ordinals and NUMERIC_COLUMNS."""
     n, last = len(rows), {name: i for i, name in enumerate(header)}
-    full = min(map(len, rows), default=0) >= len(header)  # else pad with None to the header
-    table = list(zip(header, *rows) if full else itertools.zip_longest(header, *rows))
+    table = list(itertools.zip_longest(header, *rows))  # pads short rows with None
     column = {c: table[last[c]][1:] for c in CSV_COLUMNS}
-    del rows, table
     stripped = {raw: (raw or "").strip() for raw in set(column["stock"])}
     code_of = {raw: codes.setdefault(s, len(codes)) if s else -1 for raw, s in stripped.items()}
     stock_code = np.fromiter(map(code_of.__getitem__, column["stock"]), np.intp, n)
-    ordinal_of = dict.fromkeys(set(column["date"]), 0)  # 0: not a date
-    for raw in ordinal_of:
-        with contextlib.suppress(ValueError, AttributeError):
-            ordinal_of[raw] = _parse_date(raw).toordinal()
+    ordinal_of = {raw: _ordinal(raw) for raw in set(column["date"])}
     dates = np.fromiter(map(ordinal_of.__getitem__, column["date"]), np.int64, n)
     values = np.empty((n, len(NUMERIC_COLUMNS)))
     try:
@@ -241,7 +232,37 @@ def _read_csv(path: Path, codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray
         bad = ((stock_code < 0) | (dates == 0) | ~np.isfinite(values).all(axis=1)
                | (values[:, :-1] <= 0.0).any(axis=1) | (values[:, -1] < 0.0))
     for i in range(int(np.argmax(bad)) if bad.any() else n, n):  # raises at the first bad row
-        _check_row({c: column[c][i] for c in CSV_COLUMNS}, str(path), i + 2)
+        _check_row({c: column[c][i] for c in CSV_COLUMNS}, str(path), line0 + i)
+    return stock_code, dates, values
+
+
+def _read_csv(path: Path, codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check one file BLOCK_ROWS rows at a time; return what
+    ``_check_block`` returns for all of its rows.
+
+    Rows read as csv.DictReader reads them: blank lines are skipped and
+    not counted (line numbers count the rest from 2), a column named
+    twice is read from its last place, a short row reads None past its end.
+    """
+    parts = []
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            missing = [c for c in CSV_COLUMNS if c not in header]
+            if missing:
+                raise ParseError(f"{path}: header is missing columns {missing}")
+            rows = filter(None, reader)
+            for line0 in itertools.count(2, BLOCK_ROWS):
+                block = list(itertools.islice(rows, BLOCK_ROWS))
+                parts.append(_check_block(block, header, codes, path, line0))
+                if len(block) < BLOCK_ROWS:
+                    break
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    stock_code, dates, values = map(np.concatenate, zip(*parts))
 
     open_, high, low, close = values[:, :4].T  # PRICE_COLUMNS order
     unbounded = np.flatnonzero((low > np.minimum(open_, close)) | (high < np.maximum(open_, close)))

@@ -4,6 +4,7 @@ import io
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from advalstm import market_data
 from advalstm.errors import (
     AlignmentError,
     ContractError,
@@ -207,14 +209,15 @@ def ingest_outcome(ingest, path):
 
 class TestIngestMatchesRowOracle:
     @settings(max_examples=200, deadline=None)
-    @given(market=raw_markets())
-    def test_same_series_errors_and_warnings(self, market):
+    @given(market=raw_markets(), block_rows=st.integers(1, 8))
+    def test_same_series_errors_and_warnings(self, market, block_rows):
         files, fault = market
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in files.items():
                 (Path(tmp) / name).write_text(text, encoding="utf-8")
-            columnar = ingest_outcome(
-                lambda p: {s: (e.dates, e.prices) for s, e in ingest_eod(p).items()}, tmp)
+            with mock.patch.object(market_data, "BLOCK_ROWS", block_rows):  # files span blocks
+                columnar = ingest_outcome(
+                    lambda p: {s: (e.dates, e.prices) for s, e in ingest_eod(p).items()}, tmp)
             expected = ingest_outcome(ingest_oracle, tmp)
         assert columnar == expected
         if fault:
