@@ -16,6 +16,7 @@ import datetime as dt
 import hashlib
 import json
 import struct
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -147,6 +148,15 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
     bad = [name for name, value in sizes.items() if type(value) is not int]
     if bad:
         raise ArtifactMismatchError(f"{path}: checkpoint header lacks integer sizes {bad}")
+    lag, adv_scale, sha = meta.get("lag"), meta.get("adv_scale"), meta.get("dataset_sha256")
+    if type(lag) is not int or lag < 1:
+        raise ArtifactMismatchError(f"{path}: checkpoint lag must be an integer >= 1, got {lag!r}")
+    if type(adv_scale) not in (int, float) or not 0 <= adv_scale <= sys.float_info.max:
+        raise ArtifactMismatchError(
+            f"{path}: checkpoint adv_scale must be a finite number >= 0, got {adv_scale!r}"
+        )
+    if sha is not None and type(sha) is not str:
+        raise ArtifactMismatchError(f"{path}: checkpoint dataset_sha256 must be a string or null")
     dims = ModelDims(**sizes)
     params = ParamSet(dims)
     for name, view in params.items():

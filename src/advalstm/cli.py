@@ -181,19 +181,15 @@ def cmd_grid(args) -> int:
         for lag in grid.lags
     }
     base = dataclasses.replace(config.train_config(), epochs=config.grid_epochs)
-    result = grid_search(grid, data.__getitem__, base, feat_dim=FEATURE_DIM)
+    result = grid_search(grid, data.__getitem__, base)
 
     artifacts.write_grid_csv(out / "grid_results.csv", result.cells)
     best = result.best
-    best_config = dataclasses.replace(config)
-    best_config.hidden_size = best.hidden_size
-    best_config.map_size = best.hidden_size
-    best_config.att_size = best.hidden_size
-    best_config.lag = best.lag
-    best_config.l2_coef = best.l2_coef
-    best_config.adv_weight = best.adv_weight
-    best_config.adv_scale = best.adv_scale
-    best_config.mode = "adversarial"
+    u = best.hidden_size
+    best_config = dataclasses.replace(
+        config, mode="adversarial", map_size=u, hidden_size=u, att_size=u, lag=best.lag,
+        l2_coef=best.l2_coef, adv_weight=best.adv_weight, adv_scale=best.adv_scale,
+    )
     (out / "best_config.cfg").write_text(dump_config(best_config))
     print(
         f"grid: {len(result.cells)} cells; best hidden={best.hidden_size} "
@@ -219,8 +215,6 @@ def _load_scoring_inputs(args):
         raise ArtifactMismatchError(
             f"checkpoint expects {dims.feat_dim} features, dataset has {FEATURE_DIM}"
         )
-    if not isinstance(meta.get("lag"), int) or meta["lag"] < 1:
-        raise ArtifactMismatchError(f"{path}: checkpoint records no valid lag")
     recorded = meta.get("dataset_sha256")
     if recorded is not None and recorded != dataset_sha:
         raise ArtifactMismatchError(
@@ -274,9 +268,7 @@ def cmd_eval(args) -> int:
             pred.astype(np.int64).tolist(),
         ),
     )
-    artifacts.write_histogram_csv(
-        out / "confidence_histogram.csv", confidence_histogram(yhat, bins=20)
-    )
+    artifacts.write_histogram_csv(out / "confidence_histogram.csv", confidence_histogram(yhat))
 
     print(f"{'name':<8} {'acc':>8} {'mcc':>8}")
     for name, (acc_val, mcc_val) in scores.items():
@@ -294,7 +286,7 @@ def cmd_attack(args) -> int:
     elif config.attack_scale is not None:
         eps = config.attack_scale
     else:
-        eps = float(meta.get("adv_scale", 0.0))
+        eps = float(meta["adv_scale"])
     if not 0 <= eps < np.inf:
         raise ConfigError(f"attack scale must be finite and >= 0, got {eps}")
 

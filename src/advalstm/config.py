@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import market_data
 from .baselines import IndicatorConfig
 from .errors import AdvAlstmError, ConfigError, ContractError
 from .gridsearch import GridSpec
 from .market_data import (
+    DEFAULT_MIN_COVERAGE,
     DEFAULT_NEG_THRESHOLD,
     DEFAULT_POS_THRESHOLD,
     FEATURE_DIM,
@@ -45,7 +47,7 @@ class RunConfig:
     data_path: str = ""
     out_dir: str = "runs"
     lag: int = 5
-    min_coverage: float = 0.98
+    min_coverage: float = DEFAULT_MIN_COVERAGE
     train_end: dt.date | None = None
     val_end: dt.date | None = None
     test_end: dt.date | None = None
@@ -73,52 +75,29 @@ class RunConfig:
     grid_adv_scales: tuple[float, ...] = _GRID["adv_scales"]
     grid_epochs: int = 10
 
-    def model_dims(self) -> ModelDims:
-        return ModelDims(
-            feat_dim=FEATURE_DIM,
-            map_size=self.map_size,
-            hidden_size=self.hidden_size,
-            att_size=self.att_size,
-        )
+    def _build(self, cls, prefix: str = "", **given):
+        """``cls`` from this config's fields named like its own, after ``prefix``."""
+        names = [f.name for f in fields(cls) if f.name not in given]
+        return cls(**{name: getattr(self, prefix + name) for name in names}, **given)
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            mode=self.mode,
-            l2_coef=self.l2_coef,
-            adv_weight=self.adv_weight,
-            adv_scale=self.adv_scale,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            seed=self.seed if seed is None else seed,
-            patience=self.patience,
-        )
+    def model_dims(self) -> ModelDims:
+        return self._build(ModelDims, feat_dim=FEATURE_DIM)
+
+    def train_config(self) -> TrainConfig:
+        return self._build(TrainConfig)
 
     def split_spec(self) -> SplitSpec:
         if self.train_end is None or self.val_end is None or self.test_end is None:
             raise ConfigError(
                 "split.train_end, split.val_end, and split.test_end are required"
             )
-        return SplitSpec(
-            train_end=self.train_end,
-            val_end=self.val_end,
-            test_end=self.test_end,
-            lag=self.lag,
-            pos_threshold=self.pos_threshold,
-            neg_threshold=self.neg_threshold,
-        )
+        return self._build(SplitSpec)
 
     def indicator_config(self) -> IndicatorConfig:
-        return IndicatorConfig(mom_window=self.mom_window, mr_window=self.mr_window)
+        return self._build(IndicatorConfig)
 
     def grid_spec(self) -> GridSpec:
-        return GridSpec(
-            hidden_sizes=self.grid_hidden_sizes,
-            lags=self.grid_lags,
-            l2_coefs=self.grid_l2_coefs,
-            adv_weights=self.grid_adv_weights,
-            adv_scales=self.grid_adv_scales,
-        )
+        return self._build(GridSpec, prefix="grid_")
 
     def validate(self) -> None:
         """Trip every downstream invariant before any compute starts."""
@@ -147,7 +126,7 @@ class RunConfig:
 
 def _parse_date(value: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(value)
+        return market_data._parse_date(value)  # the rule CSV dates follow
     except ValueError as exc:
         raise ConfigError(f"expected YYYY-MM-DD date, got {value!r}") from exc
 

@@ -9,8 +9,10 @@ parameter order, so the search is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import product, starmap
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -50,52 +52,44 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One evaluated configuration and its validation scores."""
+    """One configuration and, once evaluated, its validation scores."""
 
     hidden_size: int
     lag: int
     l2_coef: float
-    adv_weight: float   # 0 in stage one
-    adv_scale: float    # 0 in stage one
-    val_acc: float
-    val_mcc: float
+    adv_weight: float = 0.0   # 0 in stage one
+    adv_scale: float = 0.0    # 0 in stage one
+    val_acc: float = float("nan")
+    val_mcc: float = float("nan")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridResult:
-    cells: list[GridCell] = field(default_factory=list)
-    best_stage1: GridCell | None = None
-    best_stage2: GridCell | None = None
+    cells: list[GridCell]   # stage one, then stage two, in evaluation order
+    best_stage1: GridCell
+    best_stage2: GridCell
 
     @property
     def best(self) -> GridCell:
-        return self.best_stage2 if self.best_stage2 is not None else self.best_stage1
+        return self.best_stage2
 
 
-def _evaluate_cell(
-    data_for_lag: DataForLag,
-    feat_dim: int,
-    hidden_size: int,
-    lag: int,
-    config: TrainConfig,
-) -> tuple[float, float]:
-    x_train, y_train, x_val, y_val = data_for_lag(lag)
-    dims = ModelDims(
-        feat_dim=feat_dim,
-        map_size=hidden_size,
-        hidden_size=hidden_size,
-        att_size=hidden_size,
-    )
+def _evaluate_cell(data_for_lag: DataForLag, base: TrainConfig, cell: GridCell) -> GridCell:
+    """Train ``cell`` in ``base.mode`` and score it on the validation split."""
+    x_train, y_train, x_val, y_val = data_for_lag(cell.lag)
+    u = cell.hidden_size
+    dims = ModelDims(feat_dim=x_train.shape[-1], map_size=u, hidden_size=u, att_size=u)
+    config = replace(base, l2_coef=cell.l2_coef, adv_weight=cell.adv_weight,
+                     adv_scale=cell.adv_scale)
     result = train(x_train, y_train, x_val, y_val, dims, config, track_train_loss=False)
     pred = classify(result.val_yhat)
-    return accuracy(y_val, pred), mcc(y_val, pred)
+    return replace(cell, val_acc=accuracy(y_val, pred), val_mcc=mcc(y_val, pred))
 
 
 def grid_search(
     grid: GridSpec,
     data_for_lag: DataForLag,
     base_train: TrainConfig,
-    feat_dim: int = 11,
     on_cell: Callable[[GridCell], None] | None = None,
 ) -> GridResult:
     """Run both stages; returns every cell plus the stage winners.
@@ -104,47 +98,18 @@ def grid_search(
     window length; stage one uses normal mode regardless of
     ``base_train.mode``, stage two uses adversarial mode.
     """
-    result = GridResult()
 
-    best = None  # (acc, -U, -T, -lam) ordering via explicit compare
-    for hidden_size in grid.hidden_sizes:
-        for lag in grid.lags:
-            for l2_coef in grid.l2_coefs:
-                config = replace(base_train, mode="normal", l2_coef=l2_coef)
-                acc, cell_mcc = _evaluate_cell(
-                    data_for_lag, feat_dim, hidden_size, lag, config
-                )
-                cell = GridCell(hidden_size, lag, l2_coef, 0.0, 0.0, acc, cell_mcc)
-                result.cells.append(cell)
-                if on_cell is not None:
-                    on_cell(cell)
-                key = (acc, -hidden_size, -lag, -l2_coef)
-                if best is None or key > best[0]:
-                    best = (key, cell)
-    result.best_stage1 = best[1]
-
-    s1 = result.best_stage1
-    best = None
-    for adv_weight in grid.adv_weights:
-        for adv_scale in grid.adv_scales:
-            config = replace(
-                base_train,
-                mode="adversarial",
-                l2_coef=s1.l2_coef,
-                adv_weight=adv_weight,
-                adv_scale=adv_scale,
-            )
-            acc, cell_mcc = _evaluate_cell(
-                data_for_lag, feat_dim, s1.hidden_size, s1.lag, config
-            )
-            cell = GridCell(
-                s1.hidden_size, s1.lag, s1.l2_coef, adv_weight, adv_scale, acc, cell_mcc
-            )
-            result.cells.append(cell)
+    def evaluate(mode: str, cells: Iterable[GridCell]) -> Iterator[GridCell]:
+        for cell in map(partial(_evaluate_cell, data_for_lag, replace(base_train, mode=mode)), cells):
             if on_cell is not None:
                 on_cell(cell)
-            key = (acc, -adv_weight, -adv_scale)
-            if best is None or key > best[0]:
-                best = (key, cell)
-    result.best_stage2 = best[1]
-    return result
+            yield cell
+
+    cells = starmap(GridCell, product(grid.hidden_sizes, grid.lags, grid.l2_coefs))
+    stage1 = list(evaluate("normal", cells))
+    s1 = max(stage1, key=lambda c: (c.val_acc, -c.hidden_size, -c.lag, -c.l2_coef))
+    cells = (replace(s1, adv_weight=b, adv_scale=e)
+             for b, e in product(grid.adv_weights, grid.adv_scales))
+    stage2 = list(evaluate("adversarial", cells))
+    s2 = max(stage2, key=lambda c: (c.val_acc, -c.adv_weight, -c.adv_scale))
+    return GridResult(stage1 + stage2, s1, s2)

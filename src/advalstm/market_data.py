@@ -64,6 +64,7 @@ MIN_HISTORY = 30
 
 DEFAULT_POS_THRESHOLD = 0.0055  # movement >= +0.55% labels +1
 DEFAULT_NEG_THRESHOLD = -0.005  # movement <= -0.50% labels -1
+DEFAULT_MIN_COVERAGE = 0.98     # share of the union of dates a kept stock must have
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -262,6 +263,8 @@ def _read_csv(path: Path, codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray
                     break
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from exc
     stock_code, dates, values = map(np.concatenate, zip(*parts))
 
     open_, high, low, close = values[:, :4].T  # PRICE_COLUMNS order
@@ -276,8 +279,8 @@ def ingest_eod(path: str | Path) -> dict[str, EodSeries]:
     """Read one CSV file (or every ``*.csv`` in a directory) into
     date-sorted series, in sorted stock order.
 
-    Raises ParseError for malformed rows (with file:line context) and
-    non-UTF-8 files; DataError for non-positive prices, duplicate
+    Raises ParseError for malformed rows or CSV syntax (with file:line
+    context) and non-UTF-8 files; DataError for non-positive prices, duplicate
     (stock, date) pairs, or no data rows at all.
     """
     path = Path(path)
@@ -307,7 +310,7 @@ def ingest_eod(path: str | Path) -> dict[str, EodSeries]:
 
 
 def align_trading_days(series_by_stock: dict[str, EodSeries],
-                       min_coverage: float = 0.98) -> AlignedData:
+                       min_coverage: float = DEFAULT_MIN_COVERAGE) -> AlignedData:
     """Restrict every stock to the dates present in all stocks and stack
     the survivors into one price panel.
 

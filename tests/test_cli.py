@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 import os
@@ -19,7 +20,7 @@ from advalstm.artifacts import (
     write_container,
 )
 from advalstm.cli import main
-from advalstm.config import load_config
+from advalstm.config import dump_config, load_config
 from advalstm.model import init_params
 from advalstm.synthetic import write_regime_price_csv
 
@@ -170,6 +171,15 @@ class TestBuild:
         assert run("build", "--config", str(cfg)) == 2
         assert f"{symbol}.csv:11: bad date {cells[1]!r}" in capsys.readouterr().err
 
+    def test_cell_over_csv_field_limit_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        row = f'A,2020-01-02,1,1,1,1,1,1\nA,2020-01-03,"{"1" * 200_000}",1,1,1,1,1\n'
+        (prices / "big.csv").write_bytes(HEADER + row.encode())
+        cfg = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == 2
+        assert f"{prices / 'big.csv'}:3: malformed CSV" in capsys.readouterr().err
+
     def test_header_only_csvs_exit_2_saying_no_rows(self, tmp_path, capsys):
         prices = tmp_path / "prices"
         prices.mkdir()
@@ -266,10 +276,20 @@ class TestGrid:
         lines = (out / "grid_results.csv").read_text().splitlines()
         assert lines[0] == "U,T,lambda,beta,epsilon,val_acc,val_mcc"
         assert len(lines) == 1 + 4 + 2
-        best = load_config(out / "best_config.cfg")
-        assert best.mode == "adversarial"
-        assert best.hidden_size in (4, 8)
-        assert best.lag in (2, 5)
+        stage2 = [row.split(",") for row in lines[-2:]]
+        u, t, lam, beta, eps, acc, _ = max(
+            stage2, key=lambda r: (float(r[5]), -float(r[3]), -float(r[4]))
+        )
+        expected = dataclasses.replace(
+            load_config(grid_cfg), mode="adversarial",
+            map_size=int(u), hidden_size=int(u), att_size=int(u), lag=int(t),
+            l2_coef=float(lam), adv_weight=float(beta), adv_scale=float(eps),
+        )
+        assert (out / "best_config.cfg").read_text() == dump_config(expected)
+        assert capsys.readouterr().out == (
+            f"grid: 6 cells; best hidden={u} lag={t} l2={lam} adv_weight={beta} "
+            f"adv_scale={eps} val_acc={float(acc):.2f}\n"
+        )
 
     @pytest.mark.parametrize("key, value", [
         ("grid.hidden_sizes", "4,0"),
@@ -447,6 +467,23 @@ class TestEval:
         rewrite_header(ckpt, MALFORMED_HEADERS[case])
         assert run("eval", "--config", str(cfg), str(ckpt)) == 4
         assert run("attack", "--config", str(cfg), str(ckpt)) == 4
+
+    @pytest.mark.parametrize("key, value", [
+        ("lag", True), ("lag", 0), ("lag", 2.0),
+        ("adv_scale", None), ("adv_scale", "x"), ("adv_scale", [1]), ("adv_scale", -0.5),
+        ("adv_scale", float("nan")), ("adv_scale", float("inf")),
+        pytest.param("adv_scale", 10**400, id="adv_scale-10**400"),
+        ("dataset_sha256", 5), ("dataset_sha256", ["a"]),
+    ])
+    def test_bad_checkpoint_header_value_exits_4(self, built, small_dims, capsys, key, value):
+        cfg, out, base = built
+        ckpt = base / "bad.ckpt"
+        params = init_params(small_dims, np.random.default_rng(0))
+        save_checkpoint(ckpt, params, lag=5, seed=0, mode="normal", best_epoch=0)
+        rewrite_header(ckpt, lambda h: h["meta"].update({key: value}))
+        for command in ("eval", "attack"):
+            assert run(command, "--config", str(cfg), str(ckpt)) == 4
+            assert f"checkpoint {key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, shape", [("b_att", (3,)), ("b_i", (2,)), ("u_att", (4, 1))])
     def test_wrong_tensor_shape_exits_4(self, built, small_dims, capsys, name, shape):

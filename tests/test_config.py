@@ -83,6 +83,12 @@ class TestParse:
         with pytest.raises(ConfigError, match="YYYY-MM-DD"):
             parse_config_text("split.train_end = 02/01/2020")
 
+    @pytest.mark.parametrize("value", ["20200315", "2020-W11-1"])
+    def test_date_other_than_yyyy_mm_dd_rejected(self, value):
+        # Python 3.11's date.fromisoformat reads both; CSV dates reject them too.
+        with pytest.raises(ConfigError, match=f"expected YYYY-MM-DD date, got '{value}'"):
+            parse_config_text(f"split.train_end = {value}")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")

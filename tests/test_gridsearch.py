@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,59 @@ def noisy_data_for_lag(lag):
     x, y = make_regime_examples(100, lag=lag, seed=9, label_noise=0.2,
                                 signal=0.8, noise=1.0)
     return x[:60], y[:60], x[60:], y[60:]
+
+
+def scripted_search(monkeypatch, grid, acc_of):
+    """Run grid_search with each cell's accuracy given by ``acc_of(cell)``;
+    returns the result and the training mode each cell ran in."""
+    modes = []
+
+    def fake_evaluate_cell(data_for_lag, base, cell):
+        modes.append(base.mode)
+        return replace(cell, val_acc=acc_of(cell), val_mcc=0.0)
+
+    monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
+    return grid_search(grid, easy_data_for_lag, BASE), modes
+
+
+class TestSelectionRules:
+    GRID = GridSpec(hidden_sizes=(4, 8, 16), lags=(2, 3, 5), l2_coefs=(0.001, 0.1, 1.0),
+                    adv_weights=(0.01, 0.1, 1.0), adv_scales=(0.001, 0.01, 0.1))
+
+    @pytest.mark.parametrize("accs, winner", [
+        # accuracy first, even for the largest cell
+        ({(16, 5, 1.0): 60.0}, (16, 5, 1.0)),
+        # equal accuracy: the smaller U wins despite a larger T and lambda
+        ({(8, 2, 0.001): 60.0, (4, 5, 1.0): 60.0}, (4, 5, 1.0)),
+        # equal accuracy and U: the smaller T wins despite a larger lambda
+        ({(8, 5, 0.001): 60.0, (8, 3, 1.0): 60.0}, (8, 3, 1.0)),
+        # equal accuracy, U and T: the smaller lambda wins
+        ({(16, 3, 1.0): 60.0, (16, 3, 0.1): 60.0}, (16, 3, 0.1)),
+    ])
+    def test_stage1_orders_by_accuracy_then_u_t_lambda(self, monkeypatch, accs, winner):
+        def acc_of(cell):
+            return accs.get((cell.hidden_size, cell.lag, cell.l2_coef), 50.0)
+
+        result, modes = scripted_search(monkeypatch, self.GRID, acc_of)
+        s1 = result.best_stage1
+        assert (s1.hidden_size, s1.lag, s1.l2_coef) == winner
+        assert s1.val_acc == 60.0
+        stage2 = result.cells[27:]
+        assert modes == ["normal"] * 27 + ["adversarial"] * 9
+        assert all((c.hidden_size, c.lag, c.l2_coef) == winner for c in stage2)
+
+    @pytest.mark.parametrize("accs, winner", [
+        ({(1.0, 0.1): 70.0}, (1.0, 0.1)),
+        # equal accuracy: the smaller beta wins despite a larger epsilon
+        ({(0.1, 0.001): 70.0, (0.01, 0.1): 70.0}, (0.01, 0.1)),
+        # equal accuracy and beta: the smaller epsilon wins
+        ({(1.0, 0.1): 70.0, (1.0, 0.01): 70.0}, (1.0, 0.01)),
+    ])
+    def test_stage2_prefers_smaller_beta_then_epsilon(self, monkeypatch, accs, winner):
+        def acc_of(cell):
+            return accs.get((cell.adv_weight, cell.adv_scale), 50.0)
+
+        result, _ = scripted_search(monkeypatch, self.GRID, acc_of)
+        assert (result.best.adv_weight, result.best.adv_scale) == winner
+        assert result.best is result.best_stage2
+        assert result.best.val_acc == 70.0
