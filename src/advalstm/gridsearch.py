@@ -43,6 +43,9 @@ class GridSpec:
                 raise ContractError(f"grid axis {name} must be non-empty")
             if min(values) < low:
                 raise ContractError(f"grid axis {name} values must be >= {low}, got {min(values)}")
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ContractError(f"grid axis {name} repeats the value {repeats[0]}")
 
     def cell_count(self) -> int:
         stage1 = len(self.hidden_sizes) * len(self.lags) * len(self.l2_coefs)
@@ -100,7 +103,12 @@ def grid_search(
     """
 
     def evaluate(mode: str, cells: Iterable[GridCell]) -> Iterator[GridCell]:
-        for cell in map(partial(_evaluate_cell, data_for_lag, replace(base_train, mode=mode)), cells):
+        score = partial(_evaluate_cell, data_for_lag, replace(base_train, mode=mode))
+        for cell in cells:
+            # At beta = 0 the adversarial objective is the normal one bit for
+            # bit, so a stage-two cell keeps the winner's scores it copied.
+            if mode == "normal" or cell.adv_weight:
+                cell = score(cell)
             if on_cell is not None:
                 on_cell(cell)
             yield cell

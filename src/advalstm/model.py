@@ -17,9 +17,12 @@ validated against central finite differences in the test suite.  The LSTM
 trace is time-major, (T, ..., width), allocated once and filled in place
 step by step; only h is batch-major, (..., T, hidden), as attention reads it.
 
-Scoring (``predict``) runs ``forward`` on blocks of ``EVAL_ROWS`` windows
-along the leading axis, so its memory stays one block's trace however
-large the split.
+Scoring and training use one BLAS call or one numpy ufunc per op: every
+dense projection is one 2-D matrix product over the flattened batch, the
+sigmoid is numpy's ``exp`` in place, and each batch sum of a gradient is
+one matrix-vector product.  Scoring (``predict``) runs ``forward`` on
+blocks of ``EVAL_ROWS`` windows along the leading axis, so its memory
+stays one block's trace however large the split.
 
 Parameters live in one flat float64 vector (``ParamSet.flat``); the named
 tensors are views of it, laid out in ``PARAM_FIELDS`` order with the
@@ -36,7 +39,6 @@ from types import EllipsisType
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import NumericError, ShapeError
 
@@ -177,6 +179,20 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / np.sum(ex, axis=axis, keepdims=True)
 
 
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) into ``out``; exp overflows to inf, giving 0."""
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def _project(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w.T`` over the last axis as one 2-D BLAS call."""
+    return (a.reshape(-1, a.shape[-1]) @ w.T).reshape(*a.shape[:-1], w.shape[0])
+
+
 def map_forward(x: np.ndarray, params: ParamSet) -> np.ndarray:
     """Feature mapping: tanh dense layer, (..., feat) -> (..., map)."""
     x = np.asarray(x, dtype=np.float64)
@@ -184,7 +200,7 @@ def map_forward(x: np.ndarray, params: ParamSet) -> np.ndarray:
         raise ShapeError(
             f"input feature dim {x.shape[-1]} != mapping dim {params.w_map.shape[1]}"
         )
-    return np.tanh(x @ params.w_map.T + params.b_map)
+    return np.tanh(_project(x, params.w_map) + params.b_map)
 
 
 def lstm_forward(m: np.ndarray, params: ParamSet) -> LstmTrace:
@@ -198,8 +214,8 @@ def lstm_forward(m: np.ndarray, params: ParamSet) -> LstmTrace:
     z[..., :e_map] = np.moveaxis(m, -2, 0)
     i, f, o, g, c, tanh_c = (np.empty((steps, *lead, u)) for _ in range(6))
     h = np.empty((*lead, steps, u))
-    layers = ((i, params.w_i, params.b_i, sigmoid), (f, params.w_f, params.b_f, sigmoid),
-              (o, params.w_o, params.b_o, sigmoid), (g, params.w_g, params.b_g, np.tanh))
+    layers = ((i, params.w_i, params.b_i, _sigmoid), (f, params.w_f, params.b_f, _sigmoid),
+              (o, params.w_o, params.b_o, _sigmoid), (g, params.w_g, params.b_g, np.tanh))
     for t in range(steps):
         z[t, ..., e_map:] = h[..., t - 1, :] if t else 0.0
         for gate, w, b, act in layers:
@@ -220,7 +236,7 @@ def attention_forward(h_seq: np.ndarray, params: ParamSet) -> AttentionTrace:
         raise ShapeError(
             f"attention expects hidden dim {params.w_att.shape[1]}, got {h_seq.shape[-1]}"
         )
-    proj = np.tanh(h_seq @ params.w_att.T + params.b_att)
+    proj = np.tanh(_project(h_seq, params.w_att) + params.b_att)
     logits = proj @ params.u_att
     weights = softmax(logits, axis=-1)
     pooled = np.einsum("...t,...tu->...u", weights, h_seq)
@@ -294,12 +310,11 @@ def classify(yhat: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(yhat) >= 0.0, 1.0, -1.0)
 
 
-def _sum_batch(a: np.ndarray, keep: int) -> np.ndarray:
-    """Sum over every axis except the trailing ``keep`` axes."""
-    extra = a.ndim - keep
-    if extra <= 0:
-        return a
-    return a.sum(axis=tuple(range(extra)))
+def _sum_batch(a: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Sum over every axis but the last, rows scaled by ``weights`` when
+    given, as one BLAS matrix-vector product."""
+    rows = a.reshape(-1, a.shape[-1])
+    return (np.ones(len(rows)) if weights is None else weights.reshape(-1)) @ rows
 
 
 def _contract_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -332,7 +347,7 @@ def backward(
     grads = params.zeros_like()
 
     # Linear head, clean branch.
-    grads.w_head += _sum_batch(d_yhat[..., None] * trace.e, 1)
+    grads.w_head += _sum_batch(trace.e, d_yhat)
     grads.b_head += np.sum(d_yhat)
     d_e = d_yhat[..., None] * params.w_head
 
@@ -341,7 +356,7 @@ def backward(
         if e_adv is None:
             raise ShapeError("d_yhat_adv requires e_adv")
         d_yhat_adv = np.asarray(d_yhat_adv, dtype=np.float64)
-        grads.w_head += _sum_batch(d_yhat_adv[..., None] * e_adv, 1)
+        grads.w_head += _sum_batch(e_adv, d_yhat_adv)
         grads.b_head += np.sum(d_yhat_adv)
         d_e = d_e + d_yhat_adv[..., None] * params.w_head
 
@@ -366,12 +381,11 @@ def _backward_from_e(
     d_alpha = np.einsum("...u,...tu->...t", d_pooled, h_seq)
     d_logits = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=-1, keepdims=True))
     proj = trace.att.proj
-    grads.u_att += _sum_batch(d_logits[..., None] * proj, 1)
+    grads.u_att += _sum_batch(proj, d_logits)
     d_pre_att = (d_logits[..., None] * params.u_att) * (1.0 - proj * proj)
     grads.w_att += _contract_outer(d_pre_att, h_seq)
-    grads.b_att += _sum_batch(d_pre_att, 1)
-    d_h_seq = np.einsum("...ta,au->...tu", d_pre_att, params.w_att) \
-        + alpha[..., None] * d_pooled[..., None, :]
+    grads.b_att += _sum_batch(d_pre_att)
+    d_h_seq = d_pre_att @ params.w_att + alpha[..., None] * d_pooled[..., None, :]
 
     # LSTM backward through time.
     steps = h_seq.shape[-2]
@@ -400,10 +414,10 @@ def _backward_from_e(
         grads.w_f += _contract_outer(d_pre_f, z)
         grads.w_o += _contract_outer(d_pre_o, z)
         grads.w_g += _contract_outer(d_pre_g, z)
-        grads.b_i += _sum_batch(d_pre_i, 1)
-        grads.b_f += _sum_batch(d_pre_f, 1)
-        grads.b_o += _sum_batch(d_pre_o, 1)
-        grads.b_g += _sum_batch(d_pre_g, 1)
+        grads.b_i += _sum_batch(d_pre_i)
+        grads.b_f += _sum_batch(d_pre_f)
+        grads.b_o += _sum_batch(d_pre_o)
+        grads.b_g += _sum_batch(d_pre_g)
 
         d_z = (
             d_pre_i @ params.w_i
@@ -418,4 +432,4 @@ def _backward_from_e(
     # Feature mapping.
     d_pre_m = d_m * (1.0 - trace.m * trace.m)
     grads.w_map += _contract_outer(d_pre_m, trace.x)
-    grads.b_map += _sum_batch(d_pre_m, 1)
+    grads.b_map += _sum_batch(d_pre_m)

@@ -320,6 +320,26 @@ class TestGrid:
         assert trained == []
         assert not (out / "grid_results.csv").exists()
 
+    @pytest.mark.parametrize("key, value, repeated", [
+        ("grid.lags", "2,2", "2"), ("grid.hidden_sizes", "4,8,4", "4"),
+        ("grid.l2_coefs", "0.1,0.10", "0.1"),
+    ])
+    def test_repeated_axis_value_exits_2(self, price_dir, built, monkeypatch, capsys,
+                                         key, value, repeated):
+        cfg, out, base = built
+        trained = []
+        monkeypatch.setattr(gridsearch, "train", lambda *args, **kwargs: trained.append(args))
+        grid_cfg = write_config(
+            base / "repeat.cfg", price_dir, out,
+            **{"grid.hidden_sizes": "4", "grid.lags": "2,3", "grid.l2_coefs": "0.01",
+               "grid.adv_weights": "0.01", "grid.adv_scales": "0.05", "grid.epochs": "1",
+               key: value},
+        )
+        assert run("grid", "--config", str(grid_cfg)) == 2
+        assert f"{key.split('.')[1]} repeats the value {repeated}" in capsys.readouterr().err
+        assert trained == []
+        assert not (out / "grid_results.csv").exists()
+
     def test_divergence_exits_3(self, price_dir, built, capsys):
         cfg, out, base = built
         grid_cfg = write_config(
@@ -585,3 +605,11 @@ class TestBlasThreads:
             outputs.append({name: (out / name).read_bytes() for name in names})
         for name in names:
             assert outputs[0][name] == outputs[1][name], name
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(advalstm.__file__).resolve().parents[1])
+    code = "import sys, advalstm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          check=True, capture_output=True, text=True)
+    assert done.stdout == "[]\n"

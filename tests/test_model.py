@@ -1,5 +1,6 @@
 import importlib.util
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from advalstm.model import (
 )
 from advalstm.synthetic import make_regime_examples
 
-from helpers import finite_difference_gradient, max_relative_error
+from helpers import finite_difference_gradient
 
 # The benchmark's naive per-window forward, loaded from its file so the
 # oracle stays one piece of code that shares nothing with advalstm.model.
@@ -260,31 +261,68 @@ class TestBackward:
 
     def test_gradcheck_sum_of_confidences(self, small_params):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((5, 3, 11))
+        for params, x, atol in [(small_params, rng.standard_normal((5, 3, 11)), 0.0),
+                                *wide_inputs(rng)]:
 
-        def total(p):
-            return float(np.sum(forward(x, p).yhat))
+            def total(p):
+                return float(np.sum(forward(x, p).yhat))
 
-        trace = forward(x, small_params)
-        grads, _ = backward(small_params, trace, np.ones(5))
-        numeric = finite_difference_gradient(total, small_params)
-        assert max_relative_error(grads.to_vector(), numeric) < 1e-6
+            trace = forward(x, params)
+            grads, _ = backward(params, trace, np.ones(x.shape[:-2]))
+            numeric = finite_difference_gradient(total, params)
+            assert_near_fd(grads.to_vector(), numeric, atol)
 
     def test_gradcheck_injected_representation_branch(self, small_params):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((4, 3, 11))
-        offset = 0.1 * rng.standard_normal((4, 8))
+        for params, x, atol in [(small_params, rng.standard_normal((4, 3, 11)), 0.0),
+                                *wide_inputs(rng)]:
+            lead = x.shape[:-2]
+            offset = 0.1 * rng.standard_normal((*lead, params.w_head.size))
 
-        def total(p):
-            trace = forward(x, p)
-            return float(np.sum(trace.yhat) + np.sum(head_forward(trace.e + offset, p)))
+            def total(p):
+                trace = forward(x, p)
+                return float(np.sum(trace.yhat) + np.sum(head_forward(trace.e + offset, p)))
 
-        trace = forward(x, small_params)
-        grads, _ = backward(
-            small_params, trace, np.ones(4), d_yhat_adv=np.ones(4), e_adv=trace.e + offset
-        )
-        numeric = finite_difference_gradient(total, small_params)
-        assert max_relative_error(grads.to_vector(), numeric) < 1e-6
+            trace = forward(x, params)
+            grads, _ = backward(
+                params, trace, np.ones(lead), d_yhat_adv=np.ones(lead), e_adv=trace.e + offset
+            )
+            numeric = finite_difference_gradient(total, params)
+            assert_near_fd(grads.to_vector(), numeric, atol)
+
+
+def wide_inputs(rng):
+    """(params, x, atol) at hidden 32, lag 3: a single window and a batch
+    of 4.  At this width the 2-D attention projection is not bit-identical
+    to a batched one.  Some of these gradients are near 3e-8, where the
+    central difference's own error (about 1e-10 at this width, with or
+    without the 2-D projections) is a relative error far above 1e-6, so
+    1e-10 of absolute error is forgiven."""
+    params = init_params(ModelDims(feat_dim=11, map_size=32, hidden_size=32), rng)
+    return [(params, rng.standard_normal(shape), 1e-10) for shape in ((3, 11), (4, 3, 11))]
+
+
+def assert_near_fd(analytic, numeric, atol):
+    """``max_relative_error`` below 1e-6 once ``atol`` of absolute error is forgiven."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    assert np.max((np.abs(analytic - numeric) - atol) / denom) < 1e-6
+
+
+class TestSigmoid:
+    """The in-place sigmoid against scipy's expit, the oracle."""
+
+    def test_matches_expit(self):
+        x = np.linspace(-40.0, 40.0, 160_001)
+        edges = np.array([-1000.0, 1000.0, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model._sigmoid(x, np.empty_like(x))
+            in_place = x.copy()
+            model._sigmoid(in_place, out=in_place)
+            edge = model._sigmoid(edges, np.empty_like(edges))
+        assert np.max(np.abs(got - expit(x))) <= 2.3e-16
+        assert in_place.tobytes() == got.tobytes()
+        assert edge[0] == 0.0 and edge[1] == 1.0 and np.isnan(edge[2])
 
 
 class TestForwardOracle:
