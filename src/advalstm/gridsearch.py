@@ -103,12 +103,7 @@ def grid_search(
     """
 
     def evaluate(mode: str, cells: Iterable[GridCell]) -> Iterator[GridCell]:
-        score = partial(_evaluate_cell, data_for_lag, replace(base_train, mode=mode))
-        for cell in cells:
-            # At beta = 0 the adversarial objective is the normal one bit for
-            # bit, so a stage-two cell keeps the winner's scores it copied.
-            if mode == "normal" or cell.adv_weight:
-                cell = score(cell)
+        for cell in map(partial(_evaluate_cell, data_for_lag, replace(base_train, mode=mode)), cells):
             if on_cell is not None:
                 on_cell(cell)
             yield cell

@@ -41,11 +41,12 @@ def finite_difference_gradient(fn, params: ParamSet, step: float = FD_STEP) -> n
     return out
 
 
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, atol: float = 0.0) -> float:
+    """Largest relative error, after forgiving ``atol`` of absolute error."""
     analytic = np.asarray(analytic, dtype=np.float64).ravel()
     numeric = np.asarray(numeric, dtype=np.float64).ravel()
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return float(np.max((np.abs(analytic - numeric) - atol) / denom))
 
 
 def margins_clear_of_kink(y: np.ndarray, yhat: np.ndarray, gap: float = 1e-3) -> bool:

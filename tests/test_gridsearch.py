@@ -132,37 +132,6 @@ class TestSearch:
         assert len(seen) == grid.cell_count()
 
 
-class TestZeroAdversarialWeight:
-    GRID = GridSpec(hidden_sizes=(4, 8), lags=(2,), l2_coefs=(0.01,),
-                    adv_weights=(0.0, 0.5), adv_scales=(0.01, 0.1))
-
-    def test_zero_weight_cells_reuse_the_stage1_scores(self, monkeypatch):
-        trained = []
-        real_train = gridsearch.train
-
-        def counting_train(*args, **kwargs):
-            trained.append(args[5])
-            return real_train(*args, **kwargs)
-
-        monkeypatch.setattr(gridsearch, "train", counting_train)
-        seen = []
-        result = grid_search(self.GRID, noisy_data_for_lag, BASE, on_cell=seen.append)
-        assert seen == result.cells and len(seen) == self.GRID.cell_count() == 6
-        assert [(c.adv_weight, c.adv_scale) for c in seen[2:]] == [
-            (0.0, 0.01), (0.0, 0.1), (0.5, 0.01), (0.5, 0.1)]
-        # the two beta = 0 cells train nothing
-        assert [(c.mode, c.adv_weight) for c in trained] == [
-            ("normal", 0.0), ("normal", 0.0), ("adversarial", 0.5), ("adversarial", 0.5)]
-        # the scores the parent path would give: train the cell adversarially at beta = 0
-        monkeypatch.setattr(gridsearch, "train", real_train)
-        adversarial = replace(BASE, mode="adversarial")
-        for cell in seen[2:4]:
-            assert (cell.val_acc, cell.val_mcc) == (
-                result.best_stage1.val_acc, result.best_stage1.val_mcc)
-            retrained = gridsearch._evaluate_cell(noisy_data_for_lag, adversarial, cell)
-            assert retrained == cell
-
-
 def noisy_data_for_lag(lag):
     x, y = make_regime_examples(100, lag=lag, seed=9, label_noise=0.2,
                                 signal=0.8, noise=1.0)
