@@ -23,7 +23,8 @@ for mode, beta in (("normal", 0.0), ("adversarial", 1.0)):
     result = train(x_tr, y_tr, x[:0], y[:0], dims, config)
     results[mode] = result
     curve = [f"{r.train_loss:.3f}" for r in result.history[::12]]
-    print(f"{mode:>12}: train hinge every 12 epochs: {' -> '.join(curve)}")
+    print(f"{mode:>12}: mean clean hinge of the epoch's steps, every 12 epochs: "
+          f"{' -> '.join(curve)}")
 
 # both modes share the init and batch order (same seed), so differences
 # below come from the adversarial term alone

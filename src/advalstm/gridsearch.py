@@ -84,7 +84,7 @@ def _evaluate_cell(data_for_lag: DataForLag, base: TrainConfig, cell: GridCell) 
     dims = ModelDims(feat_dim=x_train.shape[-1], map_size=u, hidden_size=u, att_size=u)
     config = replace(base, l2_coef=cell.l2_coef, adv_weight=cell.adv_weight,
                      adv_scale=cell.adv_scale)
-    result = train(x_train, y_train, x_val, y_val, dims, config, track_train_loss=False)
+    result = train(x_train, y_train, x_val, y_val, dims, config)
     pred = classify(result.val_yhat)
     return replace(cell, val_acc=accuracy(y_val, pred), val_mcc=mcc(y_val, pred))
 

@@ -408,21 +408,77 @@ class TestTrainLoop:
         )
         assert np.isnan(result.history[-1].val_acc)
 
-    @pytest.mark.parametrize("mode", ["normal", "adversarial"])
-    def test_untracked_train_loss_changes_nothing_else(self, small_dims, mode):
-        x, y = make_regime_examples(96, lag=3, seed=4)
-        config = TrainConfig(mode=mode, epochs=5, batch_size=32, seed=2,
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_train_loss_is_the_steps_clean_hinge(self, small_dims, monkeypatch, mode):
+        # Oracle: record each step's batch (as row indices of the train
+        # split) and the parameters before its update, then score every
+        # batch again with forward and hinge_loss.
+        x, y = make_regime_examples(80, lag=3, seed=8, label_noise=0.3)
+        row_of = {row.tobytes(): i for i, row in enumerate(x)}
+        assert len(row_of) == len(x)
+        batches, seen = [], []
+
+        def recording(objective):
+            def wrapped(xb, *args, **kwargs):
+                batches.append(np.array([row_of[row.tobytes()] for row in xb]))
+                return objective(xb, *args, **kwargs)
+            return wrapped
+
+        for name in ("objective_normal", "objective_adversarial", "objective_random"):
+            monkeypatch.setattr(training, name, recording(getattr(training, name)))
+        real_step = training.adam_step
+
+        def snapshot_step(params, *args, **kwargs):
+            seen.append(params.copy())
+            return real_step(params, *args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", snapshot_step)
+        config = TrainConfig(mode=mode, epochs=3, batch_size=32, seed=5, patience=0,
                              adv_weight=0.5, adv_scale=0.05)
-        a = train(x[:64], y[:64], x[64:], y[64:], small_dims, config)
-        b = train(x[:64], y[:64], x[64:], y[64:], small_dims, config, track_train_loss=False)
-        assert a.params.to_vector().tobytes() == b.params.to_vector().tobytes()
-        assert a.final_params.to_vector().tobytes() == b.final_params.to_vector().tobytes()
-        assert a.best_epoch == b.best_epoch
-        assert a.val_yhat.tobytes() == b.val_yhat.tobytes()
-        assert [(r.epoch, r.val_loss, r.val_acc) for r in a.history] == \
-            [(r.epoch, r.val_loss, r.val_acc) for r in b.history]
-        assert all(np.isfinite(r.train_loss) for r in a.history)
-        assert all(np.isnan(r.train_loss) for r in b.history)
+        result = train(x, y, x[:16], y[:16], small_dims, config)
+
+        steps = 3  # 32 + 32 + 16 rows: the last batch is smaller
+        assert len(result.history) == 3 and len(batches) == len(seen) == 3 * steps
+        perturbed = 0.0
+        for e, record in enumerate(result.history):
+            epoch = slice(e * steps, (e + 1) * steps)
+            assert sorted(np.concatenate(batches[epoch])) == list(range(len(y)))
+            clean = 0.0
+            for idx, p in zip(batches[epoch], seen[epoch]):
+                trace = forward(x[idx], p)
+                clean += np.sum(hinge_loss(y[idx], trace.yhat))
+                r, mask = adversarial_perturbations(trace.yhat, y[idx], p, config.adv_scale)
+                perturbed += np.sum(hinge_loss(y[idx], head_forward(trace.e + r, p)) * mask)
+            assert record.train_loss == clean / len(y)
+        if mode == "adversarial":
+            # the beta-weighted perturbed term would show if it were counted
+            assert config.adv_weight * perturbed / len(y) > 0.1
+
+    def test_each_epoch_scores_only_the_validation_split(self, small_dims, monkeypatch):
+        scored = []
+        real_predict = training.predict
+
+        def spy(x, params):
+            scored.append(x)
+            return real_predict(x, params)
+
+        monkeypatch.setattr(training, "predict", spy)
+        x, y = make_regime_examples(96, lag=3, seed=4)
+        x_train, x_val = x[:64], x[64:]
+        rows_at_epoch_end = []
+        train(x_train, y[:64], x_val, y[64:], small_dims,
+              TrainConfig(mode="adversarial", epochs=3, batch_size=32, seed=2, patience=0),
+              on_epoch=lambda r: rows_at_epoch_end.append(sum(map(len, scored))))
+        assert rows_at_epoch_end == [32, 64, 96]
+        assert sum(map(len, scored)) == 96
+        assert not any(np.shares_memory(s, x_train) for s in scored)
+
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    def test_split_with_more_windows_than_labels_rejected(self, small_dims, split):
+        x, y = make_regime_examples(96, lag=3, seed=4)
+        y_train, y_val = (y[:60], y[64:]) if split == "train" else (y[:64], y[64:90])
+        with pytest.raises(ShapeError, match=f"{split} split has"):
+            train(x[:64], y_train, x[64:], y_val, small_dims, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("epochs, n_val, patience", [(12, 32, 3), (0, 32, 0), (3, 0, 0)],
                              ids=["early-stop", "zero-epochs", "no-validation"])
@@ -440,9 +496,7 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError):
             train(x, y, x, y, small_dims, config)
 
-    @pytest.mark.parametrize("track_train_loss", [True, False])
-    def test_non_finite_params_raise_at_epoch_end(self, small_dims, monkeypatch,
-                                                  track_train_loss):
+    def test_non_finite_params_raise_at_epoch_end(self, small_dims, monkeypatch):
         # An infinite mapping bias saturates tanh, so every confidence and
         # loss stays finite: only the parameter check can see it.
         real_step = training.adam_step
@@ -456,7 +510,7 @@ class TestTrainLoop:
         x, y = self.easy_data(48)
         config = TrainConfig(epochs=1, batch_size=48, seed=1, l2_coef=0.0)
         with pytest.raises(DivergenceError, match="parameters are non-finite"):
-            train(x, y, x, y, small_dims, config, track_train_loss=track_train_loss)
+            train(x, y, x, y, small_dims, config)
 
     def test_empty_train_rejected(self, small_dims):
         with pytest.raises(ContractError):
