@@ -496,9 +496,12 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError):
             train(x, y, x, y, small_dims, config)
 
-    def test_non_finite_params_raise_at_epoch_end(self, small_dims, monkeypatch):
+    @pytest.mark.parametrize("with_validation", [True, False])
+    def test_non_finite_params_raise_at_epoch_end(self, small_dims, monkeypatch,
+                                                  with_validation):
         # An infinite mapping bias saturates tanh, so every confidence and
-        # loss stays finite: only the parameter check can see it.
+        # loss stays finite: only the parameter check can see it, with or
+        # without a validation split to score.
         real_step = training.adam_step
 
         def poisoned_step(params, *args, **kwargs):
@@ -508,9 +511,10 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "adam_step", poisoned_step)
         x, y = self.easy_data(48)
+        n_val = len(y) if with_validation else 0
         config = TrainConfig(epochs=1, batch_size=48, seed=1, l2_coef=0.0)
         with pytest.raises(DivergenceError, match="parameters are non-finite"):
-            train(x, y, x, y, small_dims, config)
+            train(x, y, x[:n_val], y[:n_val], small_dims, config)
 
     def test_empty_train_rejected(self, small_dims):
         with pytest.raises(ContractError):
