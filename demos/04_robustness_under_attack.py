@@ -22,17 +22,33 @@ for mode, beta in (("normal", 0.0), ("adversarial", 1.0)):
     models[mode] = train(x_tr, y_tr, x[:0], y[:0], dims, config).params
 
 # the attack re-derives the worst-case perturbation against each model,
-# so this is a fair white-box comparison at every radius
-print(f"{'radius':>8} | {'normal acc':>10} {'rpd':>7} | {'adversarial acc':>15} {'rpd':>7}")
+# so this is a fair white-box comparison at every radius.  The head is
+# linear, so the attack lowers every margin y*yhat below 1 by
+# eps*||w_head||: it flips exactly the rows with
+# 0 <= y*yhat < min(1, eps*||w_head||), and the accuracy drop in points
+# equals that at-risk share.  Once eps*||w_head|| >= 1 every such row has
+# flipped, and a larger radius removes nothing more.
+def at_risk_pct(clean, y, shift):
+    margin = y * clean
+    return 100.0 * float(np.mean((margin >= 0.0) & (margin < min(1.0, shift))))
+
+
+print(f"{'':>8} | {'normal':^34} | {'adversarial':^34}".rstrip())
+print(f"{'radius':>8} | " + " | ".join([f"{'acc':>6} {'drop':>5} {'rpd':>7} {'e|w|':>6} {'risk':>6}"] * 2))
 for eps in (0.0, 0.1, 0.25, 0.5, 1.0):
-    row = []
+    cells = []
     for mode in ("normal", "adversarial"):
         clean, attacked = attacked_confidences(x_te, y_te, models[mode], eps)
         acc_clean = accuracy(y_te, classify(clean))
         acc_att = accuracy(y_te, classify(attacked))
         drop = rpd(acc_clean, acc_att)
-        row.append((acc_att, 0.0 if drop is None else drop))
-    print(f"{eps:>8} | {row[0][0]:>10.1f} {row[0][1]:>+7.3f} | {row[1][0]:>15.1f} {row[1][1]:>+7.3f}")
+        shift = eps * float(np.linalg.norm(models[mode].w_head))
+        cells.append(f"{acc_att:>6.1f} {acc_clean - acc_att:>5.1f} "
+                     f"{0.0 if drop is None else drop:>+7.3f} {shift:>6.3f} "
+                     f"{at_risk_pct(clean, y_te, shift):>6.1f}")
+    print(f"{eps:>8} | " + " | ".join(cells))
+print("drop = clean minus attacked accuracy, in points; e|w| = eps * ||w_head||;")
+print("risk = share (%) of rows with 0 <= y*yhat < min(1, e|w|), which the attack flips")
 
 # same story in MCC terms at the training radius
 for mode in ("normal", "adversarial"):

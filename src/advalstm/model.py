@@ -35,8 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from types import EllipsisType
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -163,7 +162,7 @@ class AttentionTrace:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass (and perturbation injection) needs."""
+    """Everything the backward pass needs."""
 
     x: np.ndarray        # (..., T, feat)
     m: np.ndarray        # (..., T, map)
@@ -244,7 +243,7 @@ def attention_forward(h_seq: np.ndarray, params: ParamSet) -> AttentionTrace:
 
 
 def head_forward(e: np.ndarray, params: ParamSet) -> np.ndarray:
-    """Linear head on a clean or perturbed representation: w_head . e + b_head.
+    """Linear head on the representation: w_head . e + b_head.
 
     The final class is sign(yhat), with 0 -> +1.
     """
@@ -269,41 +268,19 @@ def forward(x: np.ndarray, params: ParamSet) -> ForwardTrace:
     return ForwardTrace(x=x, m=m, lstm=lstm, att=att, e=e, yhat=yhat)
 
 
-def _map_blocks(
-    x: np.ndarray,
-    params: ParamSet,
-    read: Callable[[slice | EllipsisType, ForwardTrace], object],
-) -> list:
-    """``read(rows, forward(x[rows], params))`` for each block of
-    ``EVAL_ROWS`` windows along the leading axis, in order.
-
-    Block starts are multiples of ``EVAL_ROWS``.  A single window (T, D)
-    or a batch of at most ``EVAL_ROWS`` windows is one block, with rows
-    ``...``.  Only ``read``'s result outlives each block's trace.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0] if x.ndim > 2 else 0
-    if n <= EVAL_ROWS:
-        return [read(..., forward(x, params))]
-    return [
-        read(slice(start, start + EVAL_ROWS), forward(x[start : start + EVAL_ROWS], params))
-        for start in range(0, n, EVAL_ROWS)
-    ]
-
-
-def _join(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-block results along the leading axis; a lone block as is."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
 def predict(x: np.ndarray, params: ParamSet) -> np.ndarray:
     """Confidence values only; class is sign(yhat) with 0 -> +1.
 
-    Scores ``EVAL_ROWS`` windows at a time, so memory does not grow with
-    the batch; a single window or a batch of at most ``EVAL_ROWS`` windows
-    is exactly ``forward(x, params).yhat``.
+    Scores blocks of ``EVAL_ROWS`` windows along the leading axis, so
+    memory does not grow with the batch; a single window or a batch of
+    at most ``EVAL_ROWS`` windows is exactly ``forward(x, params).yhat``.
     """
-    return _join(_map_blocks(x, params, lambda _, trace: trace.yhat))
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim <= 2 or len(x) <= EVAL_ROWS:
+        return forward(x, params).yhat
+    return np.concatenate([
+        forward(x[start : start + EVAL_ROWS], params).yhat for start in range(0, len(x), EVAL_ROWS)
+    ])
 
 
 def classify(yhat: np.ndarray) -> np.ndarray:
@@ -325,19 +302,10 @@ def _contract_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    params: ParamSet,
-    trace: ForwardTrace,
-    d_yhat: np.ndarray,
-    d_yhat_adv: np.ndarray | None = None,
-    e_adv: np.ndarray | None = None,
+    params: ParamSet, trace: ForwardTrace, d_yhat: np.ndarray
 ) -> tuple[ParamSet, np.ndarray]:
-    """Exact gradients of a scalar loss given upstream dLoss/dyhat.
-
-    ``d_yhat`` has the trace's batch shape.  When ``d_yhat_adv`` and
-    ``e_adv`` are given, a second head evaluation at the injected
-    representation ``e_adv`` contributes too: its head gradients use
-    ``e_adv`` and its representation gradient flows back through the
-    clean trace (the injected offset is treated as a constant).
+    """Exact gradients of a scalar loss given upstream dLoss/dyhat, which
+    has the trace's batch shape.
 
     Returns (parameter gradients, dLoss/de).
     """
@@ -345,29 +313,10 @@ def backward(
     if d_yhat.shape != trace.yhat.shape:
         raise ShapeError(f"upstream shape {d_yhat.shape} != confidence shape {trace.yhat.shape}")
     grads = params.zeros_like()
-
-    # Linear head, clean branch.
     grads.w_head += _sum_batch(trace.e, d_yhat)
     grads.b_head += np.sum(d_yhat)
     d_e = d_yhat[..., None] * params.w_head
 
-    # Optional branch resumed from a perturbed representation.
-    if d_yhat_adv is not None:
-        if e_adv is None:
-            raise ShapeError("d_yhat_adv requires e_adv")
-        d_yhat_adv = np.asarray(d_yhat_adv, dtype=np.float64)
-        grads.w_head += _sum_batch(e_adv, d_yhat_adv)
-        grads.b_head += np.sum(d_yhat_adv)
-        d_e = d_e + d_yhat_adv[..., None] * params.w_head
-
-    _backward_from_e(params, trace, d_e, grads)
-    return grads, d_e
-
-
-def _backward_from_e(
-    params: ParamSet, trace: ForwardTrace, d_e: np.ndarray, grads: ParamSet
-) -> None:
-    """Accumulate gradients below the head, given dLoss/de."""
     u = params.w_i.shape[0]
     e_map = params.w_map.shape[0]
     h_seq = trace.lstm.h
@@ -433,3 +382,4 @@ def _backward_from_e(
     d_pre_m = d_m * (1.0 - trace.m * trace.m)
     grads.w_map += _contract_outer(d_pre_m, trace.x)
     grads.b_map += _sum_batch(d_pre_m)
+    return grads, d_e

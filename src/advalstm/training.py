@@ -3,25 +3,34 @@ the epoch loop.
 
 Every training mode minimises one objective, computed by ``_objective``:
 
-    loss = scale * sum_s l(y_s, yhat(e_s))
-         + weight * scale * sum_s mask_s * l(y_s, yhat(e_s + r_s))
+    loss = scale * sum_s l(y_s, yhat_s)
+         + weight * scale * sum_s mask_s * l(y_s, yhat_s + r_s . w_head)
          + 0.5 * l2 * ||params||^2
 
-with l the hinge loss max(0, 1 - y*yhat) and yhat(e) = w_head . e +
-b_head the linear head on the latent representation e.  The modes
+with l the hinge loss max(0, 1 - y*yhat) and yhat_s = w_head . e_s +
+b_head the linear head on the latent representation e_s; the head is
+linear, so at e_s + r_s it gives yhat_s + r_s . w_head.  The modes
 differ only in the perturbation r:
 
 - "normal": none, so the second term is absent;
 - "adversarial": the fast-gradient step r = eps * g / ||g|| with
   g = dl/de = -y * w_head, on the rows whose hinge is active
-  (``adversarial_perturbations``);
+  (``adversarial_perturbations``).  There r . w_head = -y * eps *
+  ||w_head||: the perturbed term is the active rows' hinge with every
+  margin y * yhat shifted down by eps * ||w_head||;
 - "random_perturbation": a uniform draw from the eps-sphere on every
   row (``sphere_noise``).
 
 The perturbation is a constant during differentiation: gradients flow
 through e into the network but not through r's dependence on w_head.
-Batch sums are scaled by (train-set size / batch size) so the L2 term
-keeps the same relative weight at any batch size.
+So the perturbed term's upstream gradient joins the clean one in one
+``backward`` call, and w_head alone gains a term, the rows' sum of that
+gradient times r.  Batch sums are scaled by (train-set size / batch
+size) so the L2 term keeps the same relative weight at any batch size.
+
+The attack (``attacked_confidences``) is the same margin shift at test
+time: the clean confidences, moved by -y * eps * ||w_head|| on the rows
+whose hinge is active.
 """
 
 from __future__ import annotations
@@ -36,12 +45,10 @@ from .model import (
     ForwardTrace,
     ModelDims,
     ParamSet,
-    _join,
-    _map_blocks,
+    _sum_batch,
     backward,
     classify,
     forward,
-    head_forward,
     init_params,
     predict,
 )
@@ -119,37 +126,42 @@ def _objective(
 
     With ``r`` None this is the clean hinge sum plus the L2 term.  Given
     a perturbation ``r`` of e, it adds ``weight`` times the hinge at
-    e + r over the rows where ``mask`` holds (every row when ``mask`` is
-    None); r enters as a constant.  The unscaled clean hinge sum is
-    appended to ``_hinge_sums`` when that list is given.
+    e + r, that is at yhat + r . w_head, over the rows where ``mask``
+    holds (every row when ``mask`` is None); r enters as a constant.
+    The unscaled clean hinge sum is appended to ``_hinge_sums`` when
+    that list is given.
 
     Private on purpose: the benchmark's tracer keys training-step metrics
     on the public ``objective_*`` spans that call this one.
     """
+    if y.size == 0:
+        raise ContractError("objective needs a non-empty batch")
     loss = np.sum(hinge_loss(y, trace.yhat))
     if _hinge_sums is not None:
         _hinge_sums.append(float(loss))
-    e_adv = d_yhat_adv = None
+    d_yhat = scale * hinge_grad(y, trace.yhat)
     if r is not None:
         on = 1.0 if mask is None else mask
-        e_adv = trace.e + r
-        yhat_adv = head_forward(e_adv, params)
+        yhat_adv = trace.yhat + r @ params.w_head
         loss = loss + weight * np.sum(hinge_loss(y, yhat_adv) * on)
         d_yhat_adv = scale * weight * hinge_grad(y, yhat_adv) * on
+        d_yhat = d_yhat + d_yhat_adv
     loss = scale * float(loss) + 0.5 * l2_coef * params.l2_norm_sq()
     if not np.isfinite(loss):
         raise NumericError("objective is non-finite")
-    d_yhat = scale * hinge_grad(y, trace.yhat)
-    grads, _ = backward(params, trace, d_yhat, d_yhat_adv, e_adv)
+    grads, _ = backward(params, trace, d_yhat)
+    if r is not None:
+        grads.w_head += _sum_batch(r, d_yhat_adv)
     if l2_coef:
         grads.flat += l2_coef * params.flat
     return loss, grads
 
 
-def _batch_labels(y: np.ndarray) -> np.ndarray:
+def _batch_labels(y: np.ndarray, batch_shape: tuple[int, ...]) -> np.ndarray:
+    """``y`` checked to hold one +1/-1 label per window of the batch."""
     y = _check_labels(y)
-    if y.size == 0:
-        raise ContractError("objective needs a non-empty batch")
+    if y.shape != batch_shape:
+        raise ShapeError(f"labels have shape {y.shape}, but the batch has shape {batch_shape}")
     return y
 
 
@@ -158,8 +170,15 @@ def objective_normal(
     *, _hinge_sums: list[float] | None = None,
 ) -> tuple[float, ParamSet]:
     """Clean hinge sum plus L2 regularizer; returns (loss, gradients)."""
-    y = _batch_labels(y)
+    y = _batch_labels(y, np.shape(x)[:-2])
     return _objective(forward(x, params), y, params, l2_coef, scale, _hinge_sums=_hinge_sums)
+
+
+def _perturbed_rows(yhat: np.ndarray, y: np.ndarray, head_norm: float) -> np.ndarray:
+    """The rows a fast-gradient step perturbs: those whose hinge is
+    active, and none when ``head_norm`` = ||w_head|| is below
+    ``GRAD_NORM_FLOOR``."""
+    return (y * np.asarray(yhat) < 1.0) & (head_norm >= GRAD_NORM_FLOOR)
 
 
 def adversarial_perturbations(
@@ -168,13 +187,13 @@ def adversarial_perturbations(
     """Batched fast-gradient perturbations at e.
 
     Returns (r_adv, mask): r_adv has a zero row wherever mask is False
-    (hinge inactive or degenerate head).
+    (see ``_perturbed_rows``).
     """
     if eps < 0:
         raise ContractError(f"perturbation scale must be >= 0, got {eps}")
-    y = _check_labels(y)
+    y = _batch_labels(y, np.shape(yhat))
     norm = float(np.linalg.norm(params.w_head))
-    mask = (y * np.asarray(yhat) < 1.0) & (norm >= GRAD_NORM_FLOOR)
+    mask = _perturbed_rows(yhat, y, norm)
     if norm < GRAD_NORM_FLOOR:
         return np.zeros(y.shape + params.w_head.shape), mask
     direction = -(eps / norm) * params.w_head
@@ -211,8 +230,12 @@ def objective_adversarial_frozen(
     finite-differencing it (holding r_adv and mask fixed) must agree
     with the analytic gradients.
     """
-    y = _check_labels(y)
-    return _objective(forward(x, params), y, params, l2_coef, scale, adv_weight, r_adv, mask)
+    y = _batch_labels(y, np.shape(x)[:-2])
+    trace = forward(x, params)
+    if np.shape(r_adv) != trace.e.shape or np.shape(mask) != y.shape:
+        raise ShapeError(f"r_adv {np.shape(r_adv)} and mask {np.shape(mask)} must have "
+                         f"shapes {trace.e.shape} and {y.shape}")
+    return _objective(trace, y, params, l2_coef, scale, adv_weight, r_adv, mask)
 
 
 def objective_adversarial(
@@ -229,7 +252,7 @@ def objective_adversarial(
 
     With adv_weight = 0 this is exactly objective_normal, bit for bit.
     """
-    y = _batch_labels(y)
+    y = _batch_labels(y, np.shape(x)[:-2])
     trace = forward(x, params)
     if adv_weight == 0.0:
         return _objective(trace, y, params, l2_coef, scale, _hinge_sums=_hinge_sums)
@@ -249,7 +272,7 @@ def objective_random(
     *, _hinge_sums: list[float] | None = None,
 ) -> tuple[float, ParamSet]:
     """Clean + random-perturbation objective (every example perturbed)."""
-    y = _batch_labels(y)
+    y = _batch_labels(y, np.shape(x)[:-2])
     trace = forward(x, params)
     r = sphere_noise(trace.e.shape, adv_scale, rng)
     return _objective(trace, y, params, l2_coef, scale, adv_weight, r, _hinge_sums=_hinge_sums)
@@ -260,19 +283,19 @@ def attacked_confidences(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clean and under-attack confidences for every example.
 
-    The attack regenerates fast-gradient perturbations against the given
-    parameters; examples without an adversarial example (inactive hinge)
-    keep their clean representation.  Runs in the blocks ``predict``
-    uses, so memory does not grow with the batch.
+    The attack is the fast-gradient step of ``adversarial_perturbations``
+    against the given parameters, taken in closed form: the head is
+    linear, so it moves each perturbed row's confidence by
+    r . w_head = -y * eps * ||w_head||, and leaves the other rows (see
+    ``_perturbed_rows``) as they are.  So it costs ``predict``, which
+    scores in blocks, plus one vector operation.
     """
-    y = _check_labels(y)
-
-    def attack(rows, trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
-        r_adv, _ = adversarial_perturbations(trace.yhat, y[rows], params, eps)
-        return trace.yhat, head_forward(trace.e + r_adv, params)
-
-    clean, attacked = zip(*_map_blocks(x, params, attack))
-    return _join(clean), _join(attacked)
+    if eps < 0:
+        raise ContractError(f"perturbation scale must be >= 0, got {eps}")
+    y = _batch_labels(y, np.shape(x)[:-2])
+    yhat = predict(x, params)
+    norm = float(np.linalg.norm(params.w_head))
+    return yhat, np.where(_perturbed_rows(yhat, y, norm), yhat - (eps * norm) * y, yhat)
 
 
 @dataclass

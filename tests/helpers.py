@@ -22,22 +22,26 @@ import numpy as np
 
 from advalstm.errors import DataError, MarketSemanticsWarning, ParseError
 from advalstm.market_data import CSV_COLUMNS
-from advalstm.model import ParamSet
+from advalstm.model import ModelDims, ParamSet, init_params
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
 
 
-def finite_difference_gradient(fn, params: ParamSet, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of the parameters."""
+def finite_difference_gradient(
+    fn, params: ParamSet, step: float = FD_STEP, coords=None
+) -> np.ndarray:
+    """Central-difference gradient of a scalar function of the parameters,
+    at the flat-vector indices ``coords`` (every index when None)."""
     vec = params.to_vector()
-    out = np.empty_like(vec)
-    for i in range(vec.size):
+    coords = range(vec.size) if coords is None else coords
+    out = np.empty(len(coords))
+    for k, i in enumerate(coords):
         up = vec.copy()
         up[i] += step
         down = vec.copy()
         down[i] -= step
-        out[i] = (fn(params.from_vector(up)) - fn(params.from_vector(down))) / (2.0 * step)
+        out[k] = (fn(params.from_vector(up)) - fn(params.from_vector(down))) / (2.0 * step)
     return out
 
 
@@ -47,6 +51,17 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, atol: float = 
     numeric = np.asarray(numeric, dtype=np.float64).ravel()
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max((np.abs(analytic - numeric) - atol) / denom))
+
+
+def wide_inputs(rng):
+    """(params, x, atol) at hidden 32, lag 3: a single window and a batch
+    of 4.  At this width the 2-D attention projection is not bit-identical
+    to a batched one.  Some of these gradients are near 3e-8, where the
+    central difference's own error (about 1e-10 at this width, with or
+    without the 2-D projections) is a relative error far above 1e-6, so
+    1e-10 of absolute error is forgiven."""
+    params = init_params(ModelDims(feat_dim=11, map_size=32, hidden_size=32), rng)
+    return [(params, rng.standard_normal(shape), 1e-10) for shape in ((3, 11), (4, 3, 11))]
 
 
 def margins_clear_of_kink(y: np.ndarray, yhat: np.ndarray, gap: float = 1e-3) -> bool:

@@ -23,7 +23,7 @@ from advalstm.model import (
 )
 from advalstm.synthetic import make_regime_examples
 
-from helpers import finite_difference_gradient, max_relative_error
+from helpers import finite_difference_gradient, max_relative_error, wide_inputs
 
 # The benchmark's naive per-window forward, loaded from its file so the
 # oracle stays one piece of code that shares nothing with advalstm.model.
@@ -271,35 +271,6 @@ class TestBackward:
             grads, _ = backward(params, trace, np.ones(x.shape[:-2]))
             numeric = finite_difference_gradient(total, params)
             assert max_relative_error(grads.to_vector(), numeric, atol) < 1e-6
-
-    def test_gradcheck_injected_representation_branch(self, small_params):
-        rng = np.random.default_rng(12)
-        for params, x, atol in [(small_params, rng.standard_normal((4, 3, 11)), 0.0),
-                                *wide_inputs(rng)]:
-            lead = x.shape[:-2]
-            offset = 0.1 * rng.standard_normal((*lead, params.w_head.size))
-
-            def total(p):
-                trace = forward(x, p)
-                return float(np.sum(trace.yhat) + np.sum(head_forward(trace.e + offset, p)))
-
-            trace = forward(x, params)
-            grads, _ = backward(
-                params, trace, np.ones(lead), d_yhat_adv=np.ones(lead), e_adv=trace.e + offset
-            )
-            numeric = finite_difference_gradient(total, params)
-            assert max_relative_error(grads.to_vector(), numeric, atol) < 1e-6
-
-
-def wide_inputs(rng):
-    """(params, x, atol) at hidden 32, lag 3: a single window and a batch
-    of 4.  At this width the 2-D attention projection is not bit-identical
-    to a batched one.  Some of these gradients are near 3e-8, where the
-    central difference's own error (about 1e-10 at this width, with or
-    without the 2-D projections) is a relative error far above 1e-6, so
-    1e-10 of absolute error is forgiven."""
-    params = init_params(ModelDims(feat_dim=11, map_size=32, hidden_size=32), rng)
-    return [(params, rng.standard_normal(shape), 1e-10) for shape in ((3, 11), (4, 3, 11))]
 
 
 class TestSigmoid:

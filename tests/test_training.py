@@ -3,7 +3,7 @@ import pytest
 
 from advalstm import training
 from advalstm.errors import ContractError, DivergenceError, ShapeError
-from advalstm.model import forward, head_forward, init_params, predict
+from advalstm.model import ModelDims, classify, forward, head_forward, init_params, predict
 from advalstm.synthetic import make_regime_examples
 from advalstm.training import (
     AdamState,
@@ -21,7 +21,12 @@ from advalstm.training import (
     train,
 )
 
-from helpers import finite_difference_gradient, margins_clear_of_kink, max_relative_error
+from helpers import (
+    finite_difference_gradient,
+    margins_clear_of_kink,
+    max_relative_error,
+    wide_inputs,
+)
 
 
 class TestHinge:
@@ -236,6 +241,134 @@ class TestAdversarialObjective:
         # every example contributes a perturbed hinge, so the loss moves
         assert loss_r != loss_n
 
+    @pytest.mark.parametrize("eps", [0.01, 0.3])
+    def test_adversarial_term_is_a_margin_shift(self, small_params, small_batch, eps):
+        """loss = clean + beta * sum_active (hinge + eps ||w_head||), and the
+        w_head gradient gains scale * beta * eps * n_active * w_head / ||w_head||;
+        objective_normal on the whole batch and on its active rows is the oracle."""
+        x, y = small_batch
+        params = small_params.copy()
+        params.w_head *= 10.0  # so that some margins clear 1 and some rows are inactive
+        l2, beta, scale = 0.01, 0.5, 3.0
+        active = y * forward(x, params).yhat < 1.0
+        assert 0 < active.sum() < active.size
+        norm = np.linalg.norm(params.w_head)
+
+        loss, grads = objective_adversarial(x, y, params, l2, beta, eps, scale)
+        loss_clean, grads_clean = objective_normal(x, y, params, l2, scale)
+        loss_active, grads_active = objective_normal(x[active], y[active], params, 0.0,
+                                                     scale * beta)
+        want = params.from_vector(grads_clean.flat + grads_active.flat)
+        want.w_head += scale * beta * eps * active.sum() * params.w_head / norm
+        assert loss == pytest.approx(
+            loss_clean + loss_active + scale * beta * eps * norm * active.sum(), rel=1e-12
+        )
+        np.testing.assert_allclose(grads.w_head, want.w_head, rtol=1e-12)
+        assert max_relative_error(grads.flat, want.flat) < 1e-12
+
+
+class TestPerturbedGradcheck:
+    """Finite differences of the objectives that carry a perturbed term,
+    with r held fixed.  They check the one upstream gradient that
+    ``_objective`` passes through ``backward`` and the sum of d * r it adds
+    to w_head.  Inputs and bounds are those of backward's own check in
+    test_model.py: a small model on a batch of 4, then ``wide_inputs``.
+    At hidden 32 each objective call costs about 1 ms, so there the check
+    covers every head coordinate and a fixed sample of 1,000 others."""
+
+    @staticmethod
+    def case(small_params, which):
+        rng = np.random.default_rng(12)
+        params, x, atol = [(small_params, rng.standard_normal((4, 3, 11)), 0.0),
+                           *wide_inputs(rng)][which]
+        y = rng.choice(np.array([-1.0, 1.0]), x.shape[:-2])
+        head_start = params.flat.size - params.w_head.size - 1  # w_head, b_head come last
+        coords = None if atol == 0.0 else np.concatenate([
+            np.sort(rng.choice(head_start, 1000, replace=False)),
+            np.arange(head_start, params.flat.size),
+        ])
+        return params, x, y, atol, coords
+
+    @staticmethod
+    def check(objective, params, coords, atol):
+        _, grads = objective(params)
+        numeric = finite_difference_gradient(lambda p: objective(p)[0], params, coords=coords)
+        analytic = grads.flat if coords is None else grads.flat[coords]
+        assert max_relative_error(analytic, numeric, atol) < 1e-6
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["small", "wide-window", "wide-batch"])
+    def test_objective_random(self, small_params, which):
+        params, x, y, atol, coords = self.case(small_params, which)
+        trace = forward(x, params)
+        r = sphere_noise(trace.e.shape, 0.1, np.random.default_rng(3))
+        assert margins_clear_of_kink(y, trace.yhat)
+        assert margins_clear_of_kink(y, trace.yhat + r @ params.w_head)
+        self.check(
+            lambda p: objective_random(x, y, p, 0.01, 0.5, 0.1, np.random.default_rng(3)),
+            params, coords, atol,
+        )
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["small", "wide-window", "wide-batch"])
+    def test_objective_adversarial_frozen(self, small_params, which):
+        params, x, y, atol, coords = self.case(small_params, which)
+        trace = forward(x, params)
+        r = 0.1 * np.random.default_rng(4).standard_normal(trace.e.shape)
+        mask = np.ones(y.shape, dtype=bool)
+        assert margins_clear_of_kink(y, trace.yhat)
+        assert margins_clear_of_kink(y, trace.yhat + r @ params.w_head)
+        self.check(
+            lambda p: objective_adversarial_frozen(x, y, p, r, mask, 0.01, 0.5),
+            params, coords, atol,
+        )
+
+
+def _frozen(x, y, p):
+    lead = np.shape(x)[:-2]
+    return objective_adversarial_frozen(
+        x, y, p, np.zeros((*lead, p.w_head.size)), np.ones(lead, dtype=bool), 0.01, 0.5
+    )
+
+
+LABELLED_ENTRY_POINTS = {
+    "objective_normal": lambda x, y, p: objective_normal(x, y, p, 0.01),
+    "objective_adversarial": lambda x, y, p: objective_adversarial(x, y, p, 0.01, 0.5, 0.05),
+    "objective_random": lambda x, y, p: objective_random(
+        x, y, p, 0.01, 0.5, 0.05, np.random.default_rng(0)
+    ),
+    "objective_adversarial_frozen": _frozen,
+    "adversarial_perturbations": lambda x, y, p: adversarial_perturbations(
+        forward(x, p).yhat, y, p, 0.05
+    ),
+    "attacked_confidences": lambda x, y, p: attacked_confidences(x, y, p, 0.05),
+}
+
+
+class TestLabelShape:
+    """Every entry point that takes labels wants exactly one per window."""
+
+    @pytest.mark.parametrize("entry", LABELLED_ENTRY_POINTS)
+    def test_labels_must_match_the_batch(self, small_params, small_batch, entry):
+        call = LABELLED_ENTRY_POINTS[entry]
+        x, y = small_batch
+        call(x, y, small_params)
+        call(x[0], y[0], small_params)
+        for xb, yb in ((x, y[:1]), (x, np.append(y, 1.0)), (x, y[:, None]), (x[0], y[:1])):
+            with pytest.raises(ShapeError):
+                call(xb, yb, small_params)
+
+    def test_frozen_perturbation_must_match_the_batch(self, small_params, small_batch):
+        x, y = small_batch
+        r, mask = np.zeros((len(y), small_params.w_head.size)), np.ones(len(y), dtype=bool)
+        for rb, mb in ((r[:1], mask), (r[:, :-1], mask), (r, mask[:1]), (r, mask[:, None])):
+            with pytest.raises(ShapeError):
+                objective_adversarial_frozen(x, y, small_params, rb, mb, 0.01, 0.5)
+
+    @pytest.mark.parametrize("entry", [name for name in LABELLED_ENTRY_POINTS
+                                       if name.startswith("objective_")])
+    def test_every_objective_rejects_an_empty_batch(self, small_params, entry):
+        with pytest.raises(ContractError):
+            LABELLED_ENTRY_POINTS[entry](np.zeros((0, 3, 11)), np.zeros(0), small_params)
+
 
 class TestAttack:
     def test_zero_eps_is_bitwise_clean(self, small_params, small_batch):
@@ -279,6 +412,53 @@ class TestAttack:
         clean, attacked = attacked_confidences(np.zeros((0, 3, 11)), np.zeros(0),
                                                small_params, eps=0.05)
         assert clean.shape == attacked.shape == (0,)
+
+
+class TestAttackIsAMarginShift:
+    """The closed-form attack against independent oracles."""
+
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 5000])
+    def test_closed_form_matches_the_perturbation_oracle(self, small_params, n):
+        """The attack equals yhat + r_adv . w_head, with r_adv from
+        adversarial_perturbations on a whole-batch forward pass."""
+        x, y = make_regime_examples(n, lag=4, seed=n)
+        trace = forward(x, small_params)
+        r_adv, mask = adversarial_perturbations(trace.yhat, y, small_params, 0.05)
+        clean, attacked = attacked_confidences(x, y, small_params, eps=0.05)
+        assert mask.any()
+        np.testing.assert_allclose(clean, trace.yhat, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(attacked, trace.yhat + r_adv @ small_params.w_head,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("head_norm, eps", [(0.0, 0.5), (0.5e-12, 0.5), (None, 0.0)],
+                             ids=["zero-head", "head-below-floor", "zero-eps"])
+    def test_no_shift_is_bitwise_clean(self, small_params, small_batch, head_norm, eps):
+        x, y = small_batch
+        params = small_params.copy()
+        if head_norm is not None:
+            params.w_head *= head_norm / np.linalg.norm(params.w_head)
+        clean, attacked = attacked_confidences(x, y, params, eps)
+        assert clean.tobytes() == attacked.tobytes()
+
+    def test_accuracy_drop_is_the_at_risk_share(self):
+        """Rows flip exactly where 0 <= y * yhat < min(1, eps * ||w_head||);
+        past eps * ||w_head|| = 1 the drop saturates."""
+        x, y = make_regime_examples(2000, lag=3, seed=8, signal=0.5, noise=1.0)
+        dims = ModelDims(feat_dim=11, map_size=4, hidden_size=4, att_size=4)
+        for mode in ("normal", "adversarial"):
+            config = TrainConfig(mode=mode, adv_weight=1.0, adv_scale=0.5, batch_size=500,
+                                 epochs=8, patience=0)
+            params = train(x[:1500], y[:1500], x[:0], y[:0], dims, config).params
+            x_te, y_te = x[1500:], y[1500:]
+            norm = np.linalg.norm(params.w_head)
+            drops = []
+            for eps in (0.05, 0.2, 0.5, 1.5 / norm, 3.0 / norm):
+                clean, attacked = attacked_confidences(x_te, y_te, params, eps)
+                drop = np.sum(classify(clean) == y_te) - np.sum(classify(attacked) == y_te)
+                margin = y_te * clean
+                assert drop == np.sum((margin >= 0.0) & (margin < min(1.0, eps * norm)))
+                drops.append(drop)
+            assert 0 < drops[0] < drops[-1] == drops[-2]
 
 
 class TestAdam:
