@@ -201,6 +201,7 @@ _ATTR_TO_KEY = {attr: key for key, (attr, _) in CONFIG_KEYS.items()}
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     config = RunConfig()
+    seen: dict[str, int] = {}  # key -> line that set it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -212,6 +213,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         value = value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
+        first = seen.setdefault(key, line_no)
+        if first != line_no:
+            raise ConfigError(f"{source}:{line_no}: key {key!r} already set on line {first}")
         attr, parser = CONFIG_KEYS[key]
         try:
             setattr(config, attr, parser(value))

@@ -211,18 +211,20 @@ def _ordinal(cell) -> int:
 
 
 def _check_block(rows: list[list[str]], header: list[str], codes: dict[str, int],
-                 path: Path, line0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ordinals: dict[str, int], path: Path,
+                 line0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check consecutive data rows of one file, the first at line
     ``line0``, a column at a time; return their stock codes (values of
-    ``codes``, which learns new ids), date ordinals and NUMERIC_COLUMNS."""
+    ``codes``, which learns new ids), date ordinals (values of
+    ``ordinals``, which learns new date cells) and NUMERIC_COLUMNS."""
     n, last = len(rows), {name: i for i, name in enumerate(header)}
     table = list(itertools.zip_longest(header, *rows))  # pads short rows with None
     column = {c: table[last[c]][1:] for c in CSV_COLUMNS}
     stripped = {raw: (raw or "").strip() for raw in set(column["stock"])}
     code_of = {raw: codes.setdefault(s, len(codes)) if s else -1 for raw, s in stripped.items()}
     stock_code = np.fromiter(map(code_of.__getitem__, column["stock"]), np.intp, n)
-    ordinal_of = {raw: _ordinal(raw) for raw in set(column["date"])}
-    dates = np.fromiter(map(ordinal_of.__getitem__, column["date"]), np.int64, n)
+    ordinals.update({raw: _ordinal(raw) for raw in set(column["date"]) - ordinals.keys()})
+    dates = np.fromiter(map(ordinals.__getitem__, column["date"]), np.int64, n)
     values = np.empty((n, len(NUMERIC_COLUMNS)))
     try:
         for j, col in enumerate(NUMERIC_COLUMNS):
@@ -237,7 +239,8 @@ def _check_block(rows: list[list[str]], header: list[str], codes: dict[str, int]
     return stock_code, dates, values
 
 
-def _read_csv(path: Path, codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_csv(path: Path, codes: dict[str, int],
+              ordinals: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check one file BLOCK_ROWS rows at a time; return what
     ``_check_block`` returns for all of its rows.
 
@@ -258,7 +261,7 @@ def _read_csv(path: Path, codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray
             rows = filter(None, reader)
             for line0 in itertools.count(2, BLOCK_ROWS):
                 block = list(itertools.islice(rows, BLOCK_ROWS))
-                parts.append(_check_block(block, header, codes, path, line0))
+                parts.append(_check_block(block, header, codes, ordinals, path, line0))
                 if len(block) < BLOCK_ROWS:
                     break
     except UnicodeDecodeError as exc:
@@ -290,9 +293,10 @@ def ingest_eod(path: str | Path) -> dict[str, EodSeries]:
     if not files:
         raise DataError(f"no .csv files under {path}")
 
-    codes, parts = {}, []  # stock id -> code; one file's arrays each
+    # stock id -> code; date cell -> ordinal; one file's arrays each
+    codes, ordinals, parts = {}, {}, []
     for f in files:  # not a comprehension: the warnings' stacklevel counts frames
-        parts.append(_read_csv(f, codes))
+        parts.append(_read_csv(f, codes, ordinals))
     stock_code, dates, values = map(np.concatenate, zip(*parts))
     del parts  # not held through the sort, which is ingest's memory peak
     if not codes:

@@ -1,10 +1,14 @@
+import ctypes
 import dataclasses
 import datetime as dt
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
+import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +93,13 @@ class TestBuild:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("data.paths = oops\n")
         assert run("build", "--config", str(cfg)) == 2
+
+    def test_repeated_key_exits_2(self, price_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", price_dir, tmp_path / "out")
+        cfg.write_text(cfg.read_text() + "train.epochs = 7\n")
+        assert run("build", "--config", str(cfg)) == 2
+        assert f"{cfg}:14: key 'train.epochs' already set on line 10" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_is_byte_identical(self, price_dir, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -605,6 +616,79 @@ class TestBlasThreads:
             outputs.append({name: (out / name).read_bytes() for name in names})
         for name in names:
             assert outputs[0][name] == outputs[1][name], name
+
+
+class TestRetainFreedMemory:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt settings are glibc's")
+    def test_hidden_32_steps_stop_page_faulting(self):
+        # Each step at this shape frees about 64 MB; without the setting,
+        # the five steps take about 80k minor faults.
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from advalstm import cli
+            from advalstm.model import ModelDims, init_params
+            from advalstm.training import objective_adversarial
+            cli._retain_freed_memory()
+            rng = np.random.default_rng(0)
+            params = init_params(ModelDims(map_size=32, hidden_size=32), rng)
+            x = rng.normal(size=(1024, 15, 11))
+            y = np.where(rng.random(1024) < 0.5, -1.0, 1.0)
+            objective_adversarial(x, y, params, 1e-3, 0.5, 0.01)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                objective_adversarial(x, y, params, 1e-3, 0.5, 0.01)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = str(Path(advalstm.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              check=True, capture_output=True, text=True)
+        assert int(done.stdout) < 1000
+
+    def test_outputs_do_not_depend_on_it(self, price_dir, tmp_path):
+        code = textwrap.dedent("""
+            import sys
+            from advalstm import cli
+            if sys.argv[1] == "off":
+                cli._retain_freed_memory = lambda: None
+            for command in ("build", "train", "eval", "attack"):
+                assert cli.main([command, "--config", "run.cfg"]) == 0
+            assert cli.main(["grid", "--config", "grid.cfg"]) == 0
+        """)
+        grid = {"grid.hidden_sizes": "4,8", "grid.lags": "2,5", "grid.l2_coefs": "0.01",
+                "grid.adv_weights": "0.01,0.1", "grid.adv_scales": "0.05", "grid.epochs": "2"}
+        src = str(Path(advalstm.__file__).resolve().parents[1])
+        outputs = []
+        for variant in ("off", "on"):
+            cwd = tmp_path / variant  # the same relative out.dir, so manifests compare too
+            cwd.mkdir()
+            write_config(cwd / "run.cfg", price_dir, "out", **{"train.mode": "adversarial"})
+            write_config(cwd / "grid.cfg", price_dir, "out", **grid)
+            done = subprocess.run([sys.executable, "-c", code, variant], cwd=cwd,
+                                  env=dict(os.environ, PYTHONPATH=src), check=True,
+                                  capture_output=True)
+            files = {f.name: f.read_bytes() for f in (cwd / "out").iterdir()}
+            outputs.append((done.stdout, files))
+        assert sorted(outputs[0][1]) == [
+            "attack_report.csv", "best_config.cfg", "build_manifest.json",
+            "confidence_histogram.csv", "dataset.bin", "grid_results.csv", "loss_curves.csv",
+            "metrics.csv", "model.ckpt", "predictions.csv", "run_manifest.json",
+        ]
+        assert outputs[0] == outputs[1]
+
+    def test_libc_without_mallopt_exits_0(self, price_dir, tmp_path, monkeypatch):
+        real, asked = ctypes.CDLL, []
+
+        def cdll(name, *args, **kwargs):
+            if name is None:  # the process's own libc
+                asked.append(name)
+                return types.SimpleNamespace()
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cfg = write_config(tmp_path / "run.cfg", price_dir, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == 0
+        assert asked == [None]
 
 
 def test_cli_import_loads_no_scipy():

@@ -71,6 +71,11 @@ class TestParse:
         with pytest.raises(ConfigError, match=":3"):
             parse_config_text("\n\ndata.lag = not_a_number")
 
+    def test_repeated_key_names_both_lines(self):
+        text = "train.epochs = 3\n# later\ntrain.epochs = 7\n"
+        with pytest.raises(ConfigError, match="<config>:3: key 'train.epochs' already set on line 1"):
+            parse_config_text(text)
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("data.lag 5")
