@@ -15,6 +15,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import struct
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -245,6 +246,8 @@ def _check_split(path, split: str, data: SplitArrays, lag: int, n_stocks: int, n
         getattr(data, f.name).shape != (n,) for f in fields(SplitArrays) if f.name != "windows"
     ):
         raise ArtifactMismatchError(f"{path}: inconsistent {split} split sizes")
+    if not np.isfinite(data.windows).all():
+        raise ArtifactMismatchError(f"{path}: {split} windows must be finite")
     if not np.all((data.labels == 1) | (data.labels == -1)):
         raise ArtifactMismatchError(f"{path}: {split} labels must be +1 or -1")
     for name, bound in (("stock_idx", n_stocks), ("anchor_idx", n_days)):
@@ -270,6 +273,8 @@ def load_dataset(path: str | Path) -> DatasetArtifact:
         raise ArtifactMismatchError(f"{path}: incomplete dataset: {exc!r}") from exc
     if adj_close.shape != (len(stocks), len(calendar)):
         raise ArtifactMismatchError(f"{path}: adj_close does not match stocks x calendar")
+    if not np.all((adj_close > 0) & (adj_close <= sys.float_info.max)):
+        raise ArtifactMismatchError(f"{path}: adj_close must be finite and > 0")
     for split in SPLIT_NAMES:
         _check_split(path, split, getattr(splits, split), lag, len(stocks), len(calendar))
     return DatasetArtifact(splits, stocks, calendar, adj_close, meta)
@@ -341,11 +346,34 @@ def write_json(path: str | Path, obj) -> None:
         fh.write("\n")
 
 
+def _finite_or_empty(cell: str | None) -> bool:
+    if cell == "":
+        return True
+    try:
+        return math.isfinite(float(cell))
+    except (TypeError, ValueError):
+        return False
+
+
 def read_metrics_csv(path: str | Path) -> list[dict[str, str]]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["name", "acc", "mcc"]:
-            raise ArtifactMismatchError(
-                f"{path}: expected metrics header name,acc,mcc, got {reader.fieldnames}"
-            )
-        return list(reader)
+    """Rows of a metrics table; every acc and mcc cell is a finite number
+    or empty (the ri_pct row leaves a cell empty when it is undefined)."""
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != ["name", "acc", "mcc"]:
+                raise ArtifactMismatchError(
+                    f"{path}: expected metrics header name,acc,mcc, got {reader.fieldnames}"
+                )
+            for row in reader:
+                for column in ("acc", "mcc"):
+                    if not _finite_or_empty(row[column]):
+                        raise ArtifactMismatchError(
+                            f"{path}:{reader.line_num}: {column} must be a finite number "
+                            f"or empty, got {row[column]!r}"
+                        )
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ArtifactMismatchError(f"{path}: not UTF-8 text: {exc}") from exc
+    return rows

@@ -42,14 +42,14 @@ def _trailing(adj_close, stock, t, days: int, what: str) -> np.ndarray:
     return adj_close[np.asarray(stock)[:, None], t[:, None] + np.arange(1 - days, 1)]
 
 
-def mom_predict(adj_close: np.ndarray, stock, t, window: int = 10) -> np.ndarray:
+def mom_predict(adj_close: np.ndarray, stock, t, window: int) -> np.ndarray:
     """Per row, +1 if stock ``stock[i]`` rose over the ``window`` days up
     to day ``t[i]``, else -1.  ``adj_close`` is (n_stocks, n_days)."""
     block = _trailing(adj_close, stock, t, window + 1, "momentum")
     return np.where(block[:, -1] >= block[:, 0], 1, -1)
 
 
-def mr_predict(adj_close: np.ndarray, stock, t, window: int = 30) -> np.ndarray:
+def mr_predict(adj_close: np.ndarray, stock, t, window: int) -> np.ndarray:
     """Per row, -1 if stock ``stock[i]`` sits above its trailing
     ``window``-day mean on day ``t[i]``, else +1."""
     block = _trailing(adj_close, stock, t, window, "mean reversion")

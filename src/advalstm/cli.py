@@ -415,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ArtifactMismatchError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (AdvAlstmError, FileNotFoundError, NotADirectoryError, PermissionError) as exc:
+    except (AdvAlstmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

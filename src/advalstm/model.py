@@ -16,6 +16,9 @@ float64; backward passes are exact adjoints of the forward code and are
 validated against central finite differences in the test suite.  The LSTM
 trace is time-major, (T, ..., width), allocated once and filled in place
 step by step; only h is batch-major, (..., T, hidden), as attention reads it.
+The gates are one gate-major array (T, 4, ..., hidden), ordered i, f, o, g:
+a step is one stacked matrix product into it, one sigmoid over gates i, f, o
+and one tanh over g, each on a contiguous slice.
 
 Scoring and training use one BLAS call or one numpy ufunc per op: every
 dense projection is one 2-D matrix product over the flattened batch, the
@@ -27,7 +30,9 @@ stays one block's trace however large the split.
 Parameters live in one flat float64 vector (``ParamSet.flat``); the named
 tensors are views of it, laid out in ``PARAM_FIELDS`` order with the
 shapes ``param_shapes`` gives, so optimizers and regularizers update the
-whole vector in place.
+whole vector in place.  The gate weights are adjacent, as are the gate
+biases, so the stacked ``w_gates`` (4, hidden, map + hidden) and ``b_gates``
+(4, hidden) share memory with ``w_i``..``w_g`` and ``b_i``..``b_g``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .errors import NumericError, ShapeError
 
 PARAM_FIELDS = (
     "w_map", "b_map",
-    "w_i", "b_i", "w_f", "b_f", "w_o", "b_o", "w_g", "b_g",
+    "w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g",
     "w_att", "b_att", "u_att",
     "w_head", "b_head",
 )
@@ -78,8 +83,7 @@ def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
     order input (i), forget (f), output (o), candidate (g).
     """
     d, e, u, a = dims.feat_dim, dims.map_size, dims.hidden_size, dims.att_size
-    gate = ((u, e + u), (u,))
-    shapes = ((e, d), (e,), *gate, *gate, *gate, *gate, (a, u), (a,), (a,), (2 * u,), ())
+    shapes = ((e, d), (e,), *[(u, e + u)] * 4, *[(u,)] * 4, (a, u), (a,), (a,), (2 * u,), ())
     return dict(zip(PARAM_FIELDS, shapes))
 
 
@@ -89,6 +93,7 @@ class ParamSet:
     Each name in ``PARAM_FIELDS`` is a view of ``flat`` shaped as
     ``param_shapes(dims)`` says; the views tile ``flat`` in that order, so
     writing a view writes ``flat`` and whole-vector updates act in place.
+    ``w_gates`` and ``b_gates`` are the four gates' spans, stacked.
     """
 
     def __init__(self, dims: ModelDims, flat: np.ndarray | None = None):
@@ -99,8 +104,11 @@ class ParamSet:
             raise ShapeError(f"parameter vector must have shape ({ends[-1]},), got {flat.shape}")
         self.dims = dims
         self.flat = flat
-        for (name, shape), start, end in zip(shapes.items(), [0, *ends], ends):
-            setattr(self, name, flat[start:end].reshape(shape))
+        starts = dict(zip(shapes, [0, *ends]))
+        for (name, shape), end in zip(shapes.items(), ends):
+            setattr(self, name, flat[starts[name]:end].reshape(shape))
+        self.w_gates = flat[starts["w_i"]:starts["b_i"]].reshape(4, *shapes["w_i"])
+        self.b_gates = flat[starts["b_i"]:starts["w_att"]].reshape(4, *shapes["b_i"])
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         return ((name, getattr(self, name)) for name in PARAM_FIELDS)
@@ -143,10 +151,7 @@ class LstmTrace:
     """Cached LSTM activations, time-major (T, ..., width) except h."""
 
     z: np.ndarray       # (T, ..., map + hidden) gate inputs [m_t; h_{t-1}]
-    gate_i: np.ndarray
-    gate_f: np.ndarray
-    gate_o: np.ndarray
-    gate_g: np.ndarray
+    gates: np.ndarray   # (T, 4, ..., hidden) activated gates i, f, o, g
     c: np.ndarray
     tanh_c: np.ndarray
     h: np.ndarray       # (..., T, hidden), batch-major for attention and e
@@ -209,23 +214,27 @@ def lstm_forward(m: np.ndarray, params: ParamSet) -> LstmTrace:
     *lead, steps, e_map = m.shape
     if e_map + u != params.w_i.shape[1]:
         raise ShapeError(f"LSTM expects input width {params.w_i.shape[1] - u}, got {e_map}")
+    rows = math.prod(lead)
     z = np.empty((steps, *lead, e_map + u))
     z[..., :e_map] = np.moveaxis(m, -2, 0)
-    i, f, o, g, c, tanh_c = (np.empty((steps, *lead, u)) for _ in range(6))
+    gates = np.empty((steps, 4, *lead, u))
+    c, tanh_c = np.empty((steps, *lead, u)), np.empty((steps, *lead, u))
     h = np.empty((*lead, steps, u))
-    layers = ((i, params.w_i, params.b_i, _sigmoid), (f, params.w_f, params.b_f, _sigmoid),
-              (o, params.w_o, params.b_o, _sigmoid), (g, params.w_g, params.b_g, np.tanh))
+    w_t = params.w_gates.transpose(0, 2, 1)
+    b = params.b_gates.reshape(4, *[1] * len(lead), u)
     for t in range(steps):
         z[t, ..., e_map:] = h[..., t - 1, :] if t else 0.0
-        for gate, w, b, act in layers:
-            np.matmul(z[t], w.T, out=gate[t])
-            gate[t] += b
-            act(gate[t], out=gate[t])
-        np.multiply(f[t], c[t - 1] if t else 0.0, out=c[t])
-        c[t] += i[t] * g[t]
+        act = gates[t]
+        np.matmul(z[t].reshape(rows, e_map + u), w_t, out=act.reshape(4, rows, u))
+        act += b
+        _sigmoid(act[:3], out=act[:3])
+        np.tanh(act[3], out=act[3])
+        i, f, o, g = act
+        np.multiply(f, c[t - 1] if t else 0.0, out=c[t])
+        c[t] += i * g
         np.tanh(c[t], out=tanh_c[t])
-        np.multiply(o[t], tanh_c[t], out=h[..., t, :])
-    return LstmTrace(z=z, gate_i=i, gate_f=f, gate_o=o, gate_g=g, c=c, tanh_c=tanh_c, h=h)
+        np.multiply(o, tanh_c[t], out=h[..., t, :])
+    return LstmTrace(z=z, gates=gates, c=c, tanh_c=tanh_c, h=h)
 
 
 def attention_forward(h_seq: np.ndarray, params: ParamSet) -> AttentionTrace:
@@ -336,44 +345,34 @@ def backward(
     grads.b_att += _sum_batch(d_pre_att)
     d_h_seq = d_pre_att @ params.w_att + alpha[..., None] * d_pooled[..., None, :]
 
-    # LSTM backward through time.
-    steps = h_seq.shape[-2]
+    # LSTM backward through time; d_pre holds the four gates' pre-activation gradients.
     lt = trace.lstm
+    steps, *lead, width = lt.z.shape
+    rows = math.prod(lead)
     d_h_next = d_h_last.copy()
     d_c_next = np.zeros_like(d_h_last)
     d_m = np.zeros_like(trace.m)
+    d_pre = np.empty_like(lt.gates[0])
+    d_pre_rows = d_pre.reshape(4, rows, u)
+    ones = np.ones(rows)
     for t in reversed(range(steps)):
-        i = lt.gate_i[t]
-        f = lt.gate_f[t]
-        o = lt.gate_o[t]
-        g = lt.gate_g[t]
+        i, f, o, g = lt.gates[t]
         tc = lt.tanh_c[t]
-        z = lt.z[t]
         c_prev = lt.c[t - 1] if t > 0 else np.zeros_like(tc)
 
         d_h = d_h_seq[..., t, :] + d_h_next
-        d_o = d_h * tc
         d_c = d_c_next + d_h * o * (1.0 - tc * tc)
-        d_pre_i = (d_c * g) * i * (1.0 - i)
-        d_pre_f = (d_c * c_prev) * f * (1.0 - f)
-        d_pre_o = d_o * o * (1.0 - o)
-        d_pre_g = (d_c * i) * (1.0 - g * g)
+        np.multiply(d_c, g, out=d_pre[0])
+        np.multiply(d_c, c_prev, out=d_pre[1])
+        np.multiply(d_h, tc, out=d_pre[2])
+        np.multiply(d_c, i, out=d_pre[3])
+        d_pre[:3] *= lt.gates[t, :3]
+        d_pre[:3] *= 1.0 - lt.gates[t, :3]
+        d_pre[3] *= 1.0 - g * g
 
-        grads.w_i += _contract_outer(d_pre_i, z)
-        grads.w_f += _contract_outer(d_pre_f, z)
-        grads.w_o += _contract_outer(d_pre_o, z)
-        grads.w_g += _contract_outer(d_pre_g, z)
-        grads.b_i += _sum_batch(d_pre_i)
-        grads.b_f += _sum_batch(d_pre_f)
-        grads.b_o += _sum_batch(d_pre_o)
-        grads.b_g += _sum_batch(d_pre_g)
-
-        d_z = (
-            d_pre_i @ params.w_i
-            + d_pre_f @ params.w_f
-            + d_pre_o @ params.w_o
-            + d_pre_g @ params.w_g
-        )
+        grads.w_gates += d_pre_rows.transpose(0, 2, 1) @ lt.z[t].reshape(rows, width)
+        grads.b_gates += ones @ d_pre_rows
+        d_z = (d_pre_rows @ params.w_gates).sum(axis=0).reshape(*lead, width)
         d_m[..., t, :] = d_z[..., :e_map]
         d_h_next = d_z[..., e_map:]
         d_c_next = d_c * f

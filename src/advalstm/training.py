@@ -88,6 +88,8 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
         if self.patience < 0:
             raise ContractError(f"patience must be >= 0, got {self.patience}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 def _check_labels(y: np.ndarray) -> np.ndarray:

@@ -258,6 +258,28 @@ class TestDataset:
         with pytest.raises(ArtifactMismatchError, match=f"test {name} out of range"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("split, value", [("train", np.nan), ("test", np.inf)])
+    def test_non_finite_window_rejected(self, tmp_path, split, value):
+        splits, spec, stocks, calendar, adj = small_dataset()
+        path = tmp_path / "d.bin"
+        save_dataset(path, splits, spec, stocks, calendar, adj)
+        meta, tensors = read_container(path)
+        tensors[f"{split}_windows"][-1, 0, 4] = value
+        write_container(path, meta, tensors)
+        with pytest.raises(ArtifactMismatchError, match=f"{split} windows must be finite"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -2.0])
+    def test_adj_close_must_be_finite_and_positive(self, tmp_path, value):
+        splits, spec, stocks, calendar, adj = small_dataset()
+        path = tmp_path / "d.bin"
+        save_dataset(path, splits, spec, stocks, calendar, adj)
+        meta, tensors = read_container(path)
+        tensors["adj_close"][1, 7] = value
+        write_container(path, meta, tensors)
+        with pytest.raises(ArtifactMismatchError, match="adj_close must be finite and > 0"):
+            load_dataset(path)
+
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "d.bin"
         write_container(path, {"kind": "dataset"}, {})
@@ -337,6 +359,26 @@ class TestCsv:
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(ArtifactMismatchError):
             read_metrics_csv(bad)
+
+    @pytest.mark.parametrize("row, column, cell", [
+        ("model,abc,0.1", "acc", "'abc'"), ("model,57.2", "mcc", "None"),
+        ("model", "acc", "None"), ("model,nan,0.1", "acc", "'nan'"),
+        ("model,57.2,inf", "mcc", "'inf'"), ("model,-inf,0.1", "acc", "'-inf'"),
+    ])
+    def test_metrics_cells_must_be_finite_numbers_or_empty(self, tmp_path, row, column, cell):
+        p = tmp_path / "metrics.csv"
+        p.write_text(f"name,acc,mcc\nmom,50.0,0.0\n{row}\nri_pct,,\n")
+        with pytest.raises(ArtifactMismatchError) as info:
+            read_metrics_csv(p)
+        assert str(info.value) == (
+            f"{p}:3: {column} must be a finite number or empty, got {cell}"
+        )
+
+    def test_metrics_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "metrics.csv"
+        p.write_bytes(b"name,acc,mcc\ncaf\xe9,50.0,0.0\n")
+        with pytest.raises(ArtifactMismatchError, match="not UTF-8"):
+            read_metrics_csv(p)
 
     def test_attack(self, tmp_path):
         p = tmp_path / "attack.csv"

@@ -20,6 +20,11 @@ class TestConfig:
             IndicatorConfig(mr_window=0)
         IndicatorConfig(mom_window=2, mr_window=2)
 
+    @pytest.mark.parametrize("predict", [mom_predict, mr_predict])
+    def test_window_default_lives_only_on_the_config(self, predict):
+        with pytest.raises(TypeError, match="window"):
+            predict(np.ones((1, 40)), np.array([0]), np.array([35]))
+
 
 class TestMomentum:
     def test_rising_series(self):

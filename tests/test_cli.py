@@ -154,6 +154,29 @@ class TestBuild:
         assert run("build", "--config", str(cfg)) == 2
         assert "latin1.csv" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# caf\xe9\ndata.lag = 5\n")
+        assert run("build", "--config", str(cfg)) == 2
+        assert f"error: {cfg}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_2(self, price_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", price_dir, tmp_path / "out")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run("build", "--config", str(cfg), "--out", str(taken)) == 2
+        assert str(taken) in capsys.readouterr().err
+
+    def test_directory_named_like_a_csv_exits_2(self, price_dir, tmp_path, capsys):
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        for f in price_dir.glob("*.csv"):
+            (prices / f.name).write_bytes(f.read_bytes())
+        (prices / "x.csv").mkdir()
+        cfg = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == 2
+        assert "x.csv" in capsys.readouterr().err
+
     def test_bom_header_builds_the_same_dataset(self, price_dir, tmp_path):
         prices = tmp_path / "prices"
         prices.mkdir()
@@ -231,6 +254,27 @@ class TestTrain:
         bad = write_config(base / "bad.cfg", price_dir, out, **{key: value})
         assert run("train", "--config", str(bad)) == 2
         assert key in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "key"])
+    def test_negative_seed_exits_2(self, price_dir, built, capsys, where):
+        cfg, out, base = built
+        if where == "flag":
+            argv = ("--config", str(cfg), "--seed", "-1")
+        else:
+            argv = ("--config", str(write_config(base / "s.cfg", price_dir, out,
+                                                 **{"train.seed": "-5"})))
+        assert run("train", *argv) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
+    def test_non_finite_train_window_exits_4(self, built, capsys):
+        cfg, out, _ = built
+        meta, tensors = read_container(out / "dataset.bin")
+        tensors["train_windows"][3, 1, 2] = np.nan
+        write_container(out / "dataset.bin", meta, tensors)
+        assert run("train", "--config", str(cfg)) == 4
+        assert "train windows must be finite" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
     def test_seed_flag_overrides(self, built):
@@ -488,6 +532,20 @@ class TestEval:
         write_container(out / "dataset.bin", meta, tensors)
         assert run("eval", "--config", str(cfg), str(ckpt)) == 4
 
+    def test_non_finite_adj_close_exits_4(self, trained, capsys):
+        cfg, out, base = trained
+        # A checkpoint without a dataset hash, so only the price check can fail.
+        params, _, _ = load_checkpoint(out / "model.ckpt")
+        ckpt = base / "nohash.ckpt"
+        save_checkpoint(ckpt, params, lag=5, seed=0, mode="normal", best_epoch=0)
+        meta, tensors = read_container(out / "dataset.bin")
+        tensors["adj_close"][0, -1] = np.nan
+        write_container(out / "dataset.bin", meta, tensors)
+        for command in ("eval", "attack"):
+            assert run(command, "--config", str(cfg), str(ckpt)) == 4
+            assert "adj_close must be finite and > 0" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
     def test_malformed_checkpoint_header_exits_4(self, built, small_dims, case):
         cfg, out, base = built
@@ -584,6 +642,19 @@ class TestReport:
         model_acc = next(l for l in lines[1:] if l.startswith("model,acc"))
         assert model_acc.endswith(",2")  # two runs
         assert ",0.0," in model_acc  # identical runs have zero std
+
+    @pytest.mark.parametrize("row, where", [
+        ("model,abc,0.1", ":3: acc"), ("model,57.2", ":3: mcc"),
+        ("model,nan,0.1", ":3: acc"), ("model,57.2,-inf", ":3: mcc"),
+    ], ids=["not-a-number", "short-row", "nan", "inf"])
+    def test_bad_metrics_cell_exits_4(self, price_dir, tmp_path, capsys, row, where):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", price_dir, out)
+        bad = tmp_path / "metrics.csv"
+        bad.write_text(f"name,acc,mcc\nmom,50.0,0.0\n{row}\nri_pct,1.5,\n")
+        assert run("report", "--config", str(cfg), str(bad)) == 4
+        assert f"error: {bad}{where} must be a finite number" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
 
     def test_no_inputs_exits_2(self, trained):
         cfg, out, _ = trained

@@ -116,10 +116,9 @@ def reference_init(dims, rng):
     z = e + u
     return {
         "w_map": uniform((e, d), d, e), "b_map": np.zeros(e),
-        "w_i": uniform((u, z), z, u), "b_i": np.zeros(u),
-        "w_f": uniform((u, z), z, u), "b_f": np.ones(u),
-        "w_o": uniform((u, z), z, u), "b_o": np.zeros(u),
-        "w_g": uniform((u, z), z, u), "b_g": np.zeros(u),
+        "w_i": uniform((u, z), z, u), "w_f": uniform((u, z), z, u),
+        "w_o": uniform((u, z), z, u), "w_g": uniform((u, z), z, u),
+        "b_i": np.zeros(u), "b_f": np.ones(u), "b_o": np.zeros(u), "b_g": np.zeros(u),
         "w_att": uniform((a, u), u, a), "b_att": np.zeros(a),
         "u_att": uniform((a,), a, 1),
         "w_head": uniform((2 * u,), 2 * u, 1), "b_head": np.zeros(()),
@@ -153,6 +152,25 @@ class TestParamLayout:
         p.w_map += 1.0
         assert p.flat[-1] == 2.5
         np.testing.assert_array_equal(p.flat[: p.w_map.size], small_params.w_map.ravel() + 1.0)
+
+    @pytest.mark.parametrize("k, gate", list(enumerate("ifog")))
+    def test_gate_stacks_are_the_named_gates(self, k, gate):
+        p = init_params(LAYOUT_DIMS, np.random.default_rng(3))
+        u, width = p.w_i.shape
+        assert p.w_gates.shape == (4, u, width) and p.b_gates.shape == (4, u)
+        for stack, name in ((p.w_gates, f"w_{gate}"), (p.b_gates, f"b_{gate}")):
+            view = getattr(p, name)
+            assert stack[k].shape == view.shape, name
+            assert stack[k].ctypes.data == view.ctypes.data, name
+            start = (view.ctypes.data - p.flat.ctypes.data) // p.flat.itemsize
+            expected = p.to_vector()
+            expected[start : start + view.size] = 7.0
+            stack[k][...] = 7.0
+            np.testing.assert_array_equal(p.flat, expected, err_msg=name)
+            view[...] = -3.0
+            expected[start : start + view.size] = -3.0
+            np.testing.assert_array_equal(stack[k], np.full(view.shape, -3.0), err_msg=name)
+            np.testing.assert_array_equal(p.flat, expected, err_msg=name)
 
     def test_copies_do_not_alias(self, small_params):
         vec = small_params.to_vector()
@@ -331,7 +349,8 @@ class TestLstmTrace:
         lt, steps = trace.lstm, shape[-2]
         lead, u = shape[:-2], small_params.w_i.shape[0]
         assert lt.z.shape == (steps, *lead, trace.m.shape[-1] + u)
-        assert lt.c.shape == lt.gate_i.shape == (steps, *lead, u)
+        assert lt.c.shape == (steps, *lead, u)
+        assert lt.gates.shape == (steps, 4, *lead, u)
         assert lt.h.shape == (*lead, steps, u)
 
         def same(a, b):
@@ -341,8 +360,8 @@ class TestLstmTrace:
             h_prev = lt.h[..., t - 1, :] if t else np.zeros((*lead, u))
             same(lt.z[t], np.concatenate([trace.m[..., t, :], h_prev], axis=-1))
             c_prev = lt.c[t - 1] if t else np.zeros((*lead, u))
-            same(lt.c[t], lt.gate_f[t] * c_prev + lt.gate_i[t] * lt.gate_g[t])
-            same(lt.h[..., t, :], lt.gate_o[t] * lt.tanh_c[t])
+            same(lt.c[t], lt.gates[t, 1] * c_prev + lt.gates[t, 0] * lt.gates[t, 3])
+            same(lt.h[..., t, :], lt.gates[t, 2] * lt.tanh_c[t])
 
 
 def random_model(lag, hidden, seed=0):
