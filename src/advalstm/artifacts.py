@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ArtifactMismatchError, ContractError
 from .evaluation import HistogramReport
 from .market_data import FEATURE_DIM, SPLIT_NAMES, DatasetSplits, SplitArrays, SplitSpec
-from .model import ModelDims, PARAM_FIELDS, ParamSet
+from .model import ModelDims, PARAM_FIELDS, ParamSet, param_shapes
 
 MAGIC = b"ADVALSTM"
 FORMAT_VERSION = 1
@@ -142,9 +142,6 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
     missing = [name for name in PARAM_FIELDS if name not in tensors]
     if missing:
         raise ArtifactMismatchError(f"{path}: checkpoint missing tensors {missing}")
-    if tensors["b_head"].shape == (1,):
-        # Files written before 0-d shapes were preserved store b_head as (1,).
-        tensors["b_head"] = tensors["b_head"].reshape(())
     sizes = {f.name: meta.get(f.name) for f in fields(ModelDims)}
     bad = [name for name, value in sizes.items() if type(value) is not int]
     if bad:
@@ -159,16 +156,15 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
     if sha is not None and type(sha) is not str:
         raise ArtifactMismatchError(f"{path}: checkpoint dataset_sha256 must be a string or null")
     dims = ModelDims(**sizes)
-    params = ParamSet(dims)
-    for name, view in params.items():
-        if tensors[name].shape != view.shape:
+    for name, shape in param_shapes(dims).items():
+        if tensors[name].shape != shape:
             raise ArtifactMismatchError(
                 f"{path}: tensor {name} has shape {tensors[name].shape}, "
-                f"the recorded sizes give {view.shape}"
+                f"the recorded sizes give {shape}"
             )
         if tensors[name].dtype.kind not in "biuf" or not np.isfinite(tensors[name]).all():
             raise ArtifactMismatchError(f"{path}: tensor {name} must hold finite real numbers")
-        view[...] = tensors[name]
+    params = ParamSet(dims, np.concatenate([tensors[name].ravel() for name in PARAM_FIELDS]))
     return params, dims, meta
 
 
@@ -246,6 +242,10 @@ def _check_split(path, split: str, data: SplitArrays, lag: int, n_stocks: int, n
         getattr(data, f.name).shape != (n,) for f in fields(SplitArrays) if f.name != "windows"
     ):
         raise ArtifactMismatchError(f"{path}: inconsistent {split} split sizes")
+    for f in fields(SplitArrays):  # the dtype kinds save_dataset writes
+        want = np.floating if f.name in ("windows", "movement") else np.signedinteger
+        if not np.issubdtype(getattr(data, f.name).dtype, want):
+            raise ArtifactMismatchError(f"{path}: {split} {f.name} must have a {want.__name__} dtype")
     if not np.isfinite(data.windows).all():
         raise ArtifactMismatchError(f"{path}: {split} windows must be finite")
     if not np.all((data.labels == 1) | (data.labels == -1)):
@@ -273,8 +273,8 @@ def load_dataset(path: str | Path) -> DatasetArtifact:
         raise ArtifactMismatchError(f"{path}: incomplete dataset: {exc!r}") from exc
     if adj_close.shape != (len(stocks), len(calendar)):
         raise ArtifactMismatchError(f"{path}: adj_close does not match stocks x calendar")
-    if not np.all((adj_close > 0) & (adj_close <= sys.float_info.max)):
-        raise ArtifactMismatchError(f"{path}: adj_close must be finite and > 0")
+    if adj_close.dtype.kind != "f" or not np.all((adj_close > 0) & (adj_close <= sys.float_info.max)):
+        raise ArtifactMismatchError(f"{path}: adj_close must be finite and > 0, in a floating dtype")
     for split in SPLIT_NAMES:
         _check_split(path, split, getattr(splits, split), lag, len(stocks), len(calendar))
     return DatasetArtifact(splits, stocks, calendar, adj_close, meta)
@@ -283,20 +283,11 @@ def load_dataset(path: str | Path) -> DatasetArtifact:
 # -------------------------------------------------------------- CSV reports
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_loss_curves(path: str | Path, history) -> None:

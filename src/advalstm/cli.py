@@ -149,10 +149,7 @@ def _train_once(config: RunConfig, dataset, out: Path, dataset_sha: str) -> None
         },
     )
     if result.history:
-        best = next(
-            (r for r in result.history if r.epoch == result.best_epoch),
-            result.history[-1],
-        )
+        best = result.history[result.best_epoch - 1]
         print(
             f"trained {len(result.history)} epochs (mode={train_config.mode}), "
             f"best epoch {result.best_epoch}, val acc {best.val_acc:.2f}"

@@ -63,7 +63,7 @@ EVAL_ROWS = 1024
 class ModelDims:
     """Layer sizes.  ``att_size`` defaults to ``hidden_size``."""
 
-    feat_dim: int = 11
+    feat_dim: int
     map_size: int = 16
     hidden_size: int = 16
     att_size: int = 0
@@ -160,7 +160,6 @@ class LstmTrace:
 @dataclass
 class AttentionTrace:
     proj: np.ndarray     # (..., T, att) tanh(W_att h + b_att)
-    logits: np.ndarray   # (..., T)
     weights: np.ndarray  # (..., T) softmax over time
     pooled: np.ndarray   # (..., hidden)
 
@@ -245,10 +244,9 @@ def attention_forward(h_seq: np.ndarray, params: ParamSet) -> AttentionTrace:
             f"attention expects hidden dim {params.w_att.shape[1]}, got {h_seq.shape[-1]}"
         )
     proj = np.tanh(_project(h_seq, params.w_att) + params.b_att)
-    logits = proj @ params.u_att
-    weights = softmax(logits, axis=-1)
+    weights = softmax(proj @ params.u_att, axis=-1)
     pooled = np.einsum("...t,...tu->...u", weights, h_seq)
-    return AttentionTrace(proj=proj, logits=logits, weights=weights, pooled=pooled)
+    return AttentionTrace(proj=proj, weights=weights, pooled=pooled)
 
 
 def head_forward(e: np.ndarray, params: ParamSet) -> np.ndarray:

@@ -99,18 +99,21 @@ def _check_labels(y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _hinge(y: np.ndarray, yhat) -> tuple[np.ndarray, np.ndarray]:
+    """The hinge and its subgradient from one margin y*yhat, for checked labels."""
+    m = y * np.asarray(yhat, dtype=np.float64)
+    return np.maximum(0.0, 1.0 - m), np.where(m < 1.0, -y, 0.0)
+
+
 def hinge_loss(y, yhat) -> np.ndarray:
     """max(0, 1 - y*yhat), elementwise."""
-    y = _check_labels(y)
-    return np.maximum(0.0, 1.0 - y * np.asarray(yhat, dtype=np.float64))
+    return _hinge(_check_labels(y), yhat)[0]
 
 
 def hinge_grad(y, yhat) -> np.ndarray:
     """Subgradient of the hinge w.r.t. yhat: -y where y*yhat < 1, else 0
     (0 at the kink)."""
-    y = _check_labels(y)
-    active = (y * np.asarray(yhat, dtype=np.float64)) < 1.0
-    return np.where(active, -y, 0.0)
+    return _hinge(_check_labels(y), yhat)[1]
 
 
 def _objective(
@@ -131,22 +134,23 @@ def _objective(
     e + r, that is at yhat + r . w_head, over the rows where ``mask``
     holds (every row when ``mask`` is None); r enters as a constant.
     The unscaled clean hinge sum is appended to ``_hinge_sums`` when
-    that list is given.
+    that list is given.  ``y`` holds labels already checked.
 
     Private on purpose: the benchmark's tracer keys training-step metrics
     on the public ``objective_*`` spans that call this one.
     """
     if y.size == 0:
         raise ContractError("objective needs a non-empty batch")
-    loss = np.sum(hinge_loss(y, trace.yhat))
+    rows, d_rows = _hinge(y, trace.yhat)
+    loss = np.sum(rows)
     if _hinge_sums is not None:
         _hinge_sums.append(float(loss))
-    d_yhat = scale * hinge_grad(y, trace.yhat)
+    d_yhat = scale * d_rows
     if r is not None:
         on = 1.0 if mask is None else mask
-        yhat_adv = trace.yhat + r @ params.w_head
-        loss = loss + weight * np.sum(hinge_loss(y, yhat_adv) * on)
-        d_yhat_adv = scale * weight * hinge_grad(y, yhat_adv) * on
+        rows, d_rows = _hinge(y, trace.yhat + r @ params.w_head)
+        loss = loss + weight * np.sum(rows * on)
+        d_yhat_adv = scale * weight * d_rows * on
         d_yhat = d_yhat + d_yhat_adv
     loss = scale * float(loss) + 0.5 * l2_coef * params.l2_norm_sq()
     if not np.isfinite(loss):
@@ -256,8 +260,6 @@ def objective_adversarial(
     """
     y = _batch_labels(y, np.shape(x)[:-2])
     trace = forward(x, params)
-    if adv_weight == 0.0:
-        return _objective(trace, y, params, l2_coef, scale, _hinge_sums=_hinge_sums)
     r_adv, mask = adversarial_perturbations(trace.yhat, y, params, adv_scale)
     return _objective(trace, y, params, l2_coef, scale, adv_weight, r_adv, mask, _hinge_sums)
 
@@ -362,7 +364,7 @@ def _mean_hinge(
     if y.size == 0:
         return float("nan"), float("nan"), None
     yhat = predict(x, params)
-    loss = float(np.mean(hinge_loss(y, yhat)))
+    loss = float(np.mean(_hinge(y, yhat)[0]))
     acc = 100.0 * float(np.mean(classify(yhat) == y))
     return loss, acc, yhat
 
@@ -384,7 +386,9 @@ def train(
     ``patience`` epochs without a validation-accuracy improvement.
     ``EpochRecord.train_loss`` is the mean clean hinge that the epoch's
     steps computed, each at the parameters before its update; the
-    validation split is scored once at each epoch's end.  Raises
+    validation split is scored once at each epoch's end.  Without a
+    validation split every epoch is the latest best, so the final
+    parameters are returned and patience never fires.  Raises
     DivergenceError when the loss or the parameters stop being finite.
     """
     for split, x, y in (("train", x_train, y_train), ("validation", x_val, y_val)):
@@ -393,8 +397,7 @@ def train(
     y_train = _check_labels(y_train)
     if y_train.size == 0:
         raise ContractError("training needs a non-empty train split")
-    if y_val.size:
-        y_val = _check_labels(y_val)
+    y_val = _check_labels(y_val)
 
     rng = np.random.default_rng(config.seed)
     params = init_params(dims, rng)
@@ -418,18 +421,14 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         hinge_sums: list[float] = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
-            scale = scale_total / idx.size
-            try:
+        try:
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                xb, yb = x_train[idx], y_train[idx]
+                scale = scale_total / idx.size
                 _, grads = objective(xb, yb, params, config.l2_coef, *extra, scale,
                                      _hinge_sums=hinge_sums)
-            except NumericError as exc:
-                raise DivergenceError(f"epoch {epoch}: {exc}") from exc
-            params, state = adam_step(params, grads, state, config.learning_rate)
-
-        try:
+                params, state = adam_step(params, grads, state, config.learning_rate)
             val_loss, val_acc, val_yhat = _mean_hinge(x_val, y_val, params)
         except NumericError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}") from exc
@@ -441,20 +440,16 @@ def train(
         if on_epoch is not None:
             on_epoch(record)
 
-        if np.isfinite(val_acc) and val_acc > best_acc:
+        if not y_val.size or val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
             best_params = params.copy()
             best_val_yhat = val_yhat
-        if config.patience and np.isfinite(best_acc) and epoch - best_epoch >= config.patience:
+        if config.patience and epoch - best_epoch >= config.patience:
             break
 
-    if not np.isfinite(best_acc) and history:
-        # No usable validation split: fall back to the final epoch.
-        best_params = params
-        best_epoch = history[-1].epoch
     if best_val_yhat is None:
-        # Zero epochs or no usable validation split: nothing scored best_params yet.
+        # Zero epochs or no validation split: nothing scored best_params yet.
         best_val_yhat = predict(x_val, best_params)
     return TrainResult(
         params=best_params,

@@ -22,6 +22,7 @@ from advalstm.artifacts import (
     write_loss_curves,
     write_metrics_csv,
     write_predictions_csv,
+    write_summary_csv,
 )
 from advalstm.errors import ArtifactMismatchError, EmptySplitWarning
 from advalstm.evaluation import confidence_histogram
@@ -140,20 +141,8 @@ class TestCheckpoint:
         for name, a in params.items():
             assert getattr(loaded, name).shape == a.shape, name
 
-    def test_legacy_one_element_b_head_loads_as_scalar(self, tmp_path, small_dims):
-        params = init_params(small_dims, np.random.default_rng(5))
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, params, lag=4, seed=5, mode="normal", best_epoch=1)
-        meta, tensors = read_container(path)
-        tensors["b_head"] = tensors["b_head"].reshape(1)
-        write_container(path, meta, tensors)
-        assert read_container(path)[1]["b_head"].shape == (1,)
-        loaded, _, _ = load_checkpoint(path)
-        for name, a in params.items():
-            assert getattr(loaded, name).shape == a.shape, name
-        np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
-
-    @pytest.mark.parametrize("name, shape", [("b_att", (3,)), ("b_i", (2,)), ("u_att", (4, 1))])
+    @pytest.mark.parametrize("name, shape", [("b_att", (3,)), ("b_i", (2,)), ("u_att", (4, 1)),
+                                             ("b_head", (1,))])
     def test_tensor_shape_checked_against_recorded_sizes(self, tmp_path, small_dims, name, shape):
         params = init_params(small_dims, np.random.default_rng(5))
         path = tmp_path / "m.ckpt"
@@ -162,6 +151,19 @@ class TestCheckpoint:
         tensors[name] = np.zeros(shape)
         write_container(path, meta, tensors)
         with pytest.raises(ArtifactMismatchError, match=name):
+            load_checkpoint(path)
+
+    def test_header_sizes_checked_before_any_allocation(self, tmp_path, small_dims):
+        # These sizes would need about 2.6 TiB of parameters: the stored
+        # tensors' shapes are compared with them before anything that
+        # size is allocated.
+        params = init_params(small_dims, np.random.default_rng(5))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, lag=4, seed=5, mode="normal", best_epoch=1)
+        meta, tensors = read_container(path)
+        meta.update(hidden_size=200_000, map_size=200_000, att_size=200_000)
+        write_container(path, meta, tensors)
+        with pytest.raises(ArtifactMismatchError, match="tensor w_map has shape"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name, value", [("w_map", np.nan), ("b_head", np.inf),
@@ -280,6 +282,27 @@ class TestDataset:
         with pytest.raises(ArtifactMismatchError, match="adj_close must be finite and > 0"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("name, dtype, message", [
+        ("test_stock_idx", np.float64, "test stock_idx must have a signedinteger dtype"),
+        ("val_anchor_idx", np.float64, "val anchor_idx must have a signedinteger dtype"),
+        ("train_labels", np.float64, "train labels must have a signedinteger dtype"),
+        ("train_windows", np.int64, "train windows must have a floating dtype"),
+        ("test_movement", np.int64, "test movement must have a floating dtype"),
+        ("adj_close", np.int64, "adj_close must be finite and > 0, in a floating dtype"),
+    ], ids=["test_stock_idx", "val_anchor_idx", "train_labels", "train_windows", "test_movement",
+            "adj_close"])
+    def test_dtype_kind_checked(self, tmp_path, name, dtype, message):
+        # In-range values of the wrong kind: a float index array would pass
+        # every range check and then fail as an index.
+        splits, spec, stocks, calendar, adj = small_dataset()
+        path = tmp_path / "d.bin"
+        save_dataset(path, splits, spec, stocks, calendar, adj)
+        meta, tensors = read_container(path)
+        tensors[name] = np.ceil(tensors[name]).astype(dtype)
+        write_container(path, meta, tensors)
+        with pytest.raises(ArtifactMismatchError, match=message):
+            load_dataset(path)
+
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "d.bin"
         write_container(path, {"kind": "dataset"}, {})
@@ -340,6 +363,16 @@ class TestCsv:
         lines = p.read_text().splitlines()
         assert lines[0] == "stock,date,label,confidence,predicted"
         assert lines[1] == "A,2020-01-02,1,0.125,1"
+
+    def test_cells_are_float_repr_or_empty(self, tmp_path):
+        # csv.writer itself writes every float cell as repr(float(v)) and
+        # None as an empty cell; the report bytes rely on both.
+        p = tmp_path / "summary.csv"
+        floats = (np.float64(1 / 3), 1e-05, 1e16, -0.0, float("nan"))
+        write_summary_csv(p, [floats, ("model", "acc", 0.5, None, 7)])
+        lines = p.read_text().splitlines()
+        assert lines[1].split(",") == [repr(float(v)) for v in floats]
+        assert lines[2] == "model,acc,0.5,,7"
 
     def test_histogram(self, tmp_path):
         p = tmp_path / "hist.csv"

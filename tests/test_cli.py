@@ -702,7 +702,7 @@ class TestRetainFreedMemory:
             from advalstm.training import objective_adversarial
             cli._retain_freed_memory()
             rng = np.random.default_rng(0)
-            params = init_params(ModelDims(map_size=32, hidden_size=32), rng)
+            params = init_params(ModelDims(feat_dim=11, map_size=32, hidden_size=32), rng)
             x = rng.normal(size=(1024, 15, 11))
             y = np.where(rng.random(1024) < 0.5, -1.0, 1.0)
             objective_adversarial(x, y, params, 1e-3, 0.5, 0.01)

@@ -588,6 +588,18 @@ class TestTrainLoop:
         )
         assert np.isnan(result.history[-1].val_acc)
 
+    def test_empty_validation_runs_every_epoch_despite_patience(self, small_dims):
+        # Without a validation split every epoch is the latest best, so
+        # patience never ends training early.
+        x, y = self.easy_data(48)
+        result = train(x, y, np.zeros((0, 3, 11)), np.zeros(0), small_dims,
+                       TrainConfig(epochs=5, batch_size=16, seed=1, patience=2))
+        assert [r.epoch for r in result.history] == [1, 2, 3, 4, 5]
+        assert result.best_epoch == 5
+        np.testing.assert_array_equal(
+            result.params.to_vector(), result.final_params.to_vector()
+        )
+
     @pytest.mark.parametrize("mode", training.MODES)
     def test_train_loss_is_the_steps_clean_hinge(self, small_dims, monkeypatch, mode):
         # Oracle: record each step's batch (as row indices of the train
