@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ArtifactMismatchError, ContractError
 from .evaluation import HistogramReport
-from .market_data import FEATURE_DIM, SPLIT_NAMES, DatasetSplits, SplitArrays, SplitSpec
+from .market_data import (FEATURE_DIM, SPLIT_NAMES, DatasetSplits, SplitArrays, SplitSpec,
+                          _parse_date)
 from .model import ModelDims, PARAM_FIELDS, ParamSet, param_shapes
 
 MAGIC = b"ADVALSTM"
@@ -85,12 +86,25 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         if not isinstance(meta, dict):
             raise TypeError("meta is not an object")
         for entry in header["tensors"]:
-            dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
-            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            name, spec, shape = entry["name"], entry["dtype"], entry["shape"]
+            # Only a dtype that write_container writes: its canonical name,
+            # little-endian or byte-order-free, of fixed non-zero size.
+            dtype = np.dtype(spec) if type(spec) is str else None
+            if (dtype is None or dtype.str != spec or spec[0] == ">" or dtype.itemsize == 0
+                    or dtype.hasobject):
+                raise ArtifactMismatchError(
+                    f"{path}: tensor {name!r} has dtype {spec!r}, which no container holds"
+                )
+            if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
+                raise ArtifactMismatchError(
+                    f"{path}: tensor {name!r} has shape {shape!r}, not a list of integers >= 0"
+                )
+            count = math.prod(shape)  # a Python int: no overflow
+            nbytes = dtype.itemsize * count
             if offset + nbytes > len(raw):
-                raise ArtifactMismatchError(f"{path}: truncated tensor {entry['name']!r}")
-            tensors[entry["name"]] = np.frombuffer(
-                raw, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
+                raise ArtifactMismatchError(f"{path}: truncated tensor {name!r}")
+            tensors[name] = np.frombuffer(
+                raw, dtype=dtype, count=count, offset=offset
             ).reshape(shape).copy()
             offset += nbytes
     except (KeyError, TypeError, ValueError) as exc:
@@ -183,7 +197,7 @@ class DatasetArtifact:
 
     @property
     def lag(self) -> int:
-        return int(self.meta["lag"])
+        return self.meta["lag"]
 
     def arrays(self, split: str, lag: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Model-ready (windows, float labels) of one split.
@@ -261,16 +275,22 @@ def load_dataset(path: str | Path) -> DatasetArtifact:
     if meta.get("kind") != "dataset":
         raise ArtifactMismatchError(f"{path}: not a dataset (kind={meta.get('kind')!r})")
     try:
-        stocks = list(meta["stocks"])
-        calendar = [dt.date.fromisoformat(s) for s in meta["calendar"]]
-        lag = int(meta["lag"])
+        stocks, lag = meta["stocks"], meta["lag"]
+        calendar = [_parse_date(s) for s in meta["calendar"]]
         adj_close = tensors["adj_close"]
         splits = DatasetSplits(**{
             split: SplitArrays(**{f.name: tensors[f"{split}_{f.name}"] for f in fields(SplitArrays)})
             for split in SPLIT_NAMES
         })
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ArtifactMismatchError(f"{path}: incomplete dataset: {exc!r}") from exc
+    if type(lag) is not int or lag < 1:
+        raise ArtifactMismatchError(f"{path}: dataset lag must be an integer >= 1, got {lag!r}")
+    if (type(stocks) is not list or not all(type(s) is str for s in stocks)
+            or len(set(stocks)) != len(stocks)):
+        raise ArtifactMismatchError(f"{path}: dataset stocks must be distinct strings")
+    if any(a >= b for a, b in zip(calendar, calendar[1:])):
+        raise ArtifactMismatchError(f"{path}: dataset calendar must be strictly increasing")
     if adj_close.shape != (len(stocks), len(calendar)):
         raise ArtifactMismatchError(f"{path}: adj_close does not match stocks x calendar")
     if adj_close.dtype.kind != "f" or not np.all((adj_close > 0) & (adj_close <= sys.float_info.max)):

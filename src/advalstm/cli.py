@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -181,7 +182,9 @@ def cmd_grid(args) -> int:
         for lag in grid.lags
     }
     base = dataclasses.replace(config.train_config(), epochs=config.grid_epochs)
-    result = grid_search(grid, data.__getitem__, base)
+    # One process per usable CPU (taskset bounds it); no output byte depends on it.
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    result = grid_search(grid, data.__getitem__, base, workers=workers)
 
     artifacts.write_grid_csv(out / "grid_results.csv", result.cells)
     best = result.best

@@ -28,7 +28,7 @@ def confusion_counts(
         raise ContractError("labels and predictions must have the same length")
     if y.size == 0:
         raise ContractError("metrics need at least one example")
-    if not (np.all(np.isin(y, (-1, 1))) and np.all(np.isin(p, (-1, 1)))):
+    if not all(np.all((a == 1) | (a == -1)) for a in (y, p)):
         raise ContractError("labels and predictions must be +1 or -1")
     tp = int(np.sum((y == 1) & (p == 1)))
     tn = int(np.sum((y == -1) & (p == -1)))

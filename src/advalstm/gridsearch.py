@@ -9,10 +9,10 @@ parameter order, so the search is deterministic.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import product, starmap
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -89,30 +89,97 @@ def _evaluate_cell(data_for_lag: DataForLag, base: TrainConfig, cell: GridCell) 
     return replace(cell, val_acc=accuracy(y_val, pred), val_mcc=mcc(y_val, pred))
 
 
+# The data_for_lag of a forked worker, set once by its initializer.
+_worker_data: DataForLag | None = None
+
+
+def _init_worker(data_for_lag: DataForLag) -> None:
+    global _worker_data
+    _worker_data = data_for_lag
+
+
+def _evaluate_in_worker(base: TrainConfig, cell: GridCell) -> GridCell:
+    return _evaluate_cell(_worker_data, base, cell)
+
+
+def _evaluate_stage(
+    cells: list[GridCell],
+    data_for_lag: DataForLag,
+    base: TrainConfig,
+    pool: Executor | None,
+    on_cell: Callable[[GridCell], None] | None,
+) -> list[GridCell]:
+    """Every cell of one stage, scored, in the order given.
+
+    With a pool, the children take the cells largest (hidden x lag)
+    first.  This process runs the cheapest cell, then walks back from
+    the cheap end and runs each cell that no child has started yet, so
+    no CPU idles and this process scores at least one cell per stage.
+    """
+    done: list[GridCell | None] = [None] * len(cells)
+
+    def finish(i: int, cell: GridCell) -> None:
+        done[i] = cell
+        if on_cell is not None:
+            on_cell(cell)
+
+    if pool is None:
+        for i, cell in enumerate(cells):
+            finish(i, _evaluate_cell(data_for_lag, base, cell))
+        return done
+    *rest, cheapest = sorted(range(len(cells)), key=lambda i: -cells[i].hidden_size * cells[i].lag)
+    futures = {i: pool.submit(_evaluate_in_worker, base, cells[i]) for i in rest}
+    finish(cheapest, _evaluate_cell(data_for_lag, base, cells[cheapest]))
+    for i in reversed(rest):
+        if futures[i].cancel():
+            finish(i, _evaluate_cell(data_for_lag, base, cells[i]))
+    for i in rest:
+        if done[i] is None:
+            finish(i, futures[i].result())
+    return done
+
+
 def grid_search(
     grid: GridSpec,
     data_for_lag: DataForLag,
     base_train: TrainConfig,
     on_cell: Callable[[GridCell], None] | None = None,
+    *,
+    workers: int = 1,
 ) -> GridResult:
     """Run both stages; returns every cell plus the stage winners.
 
     ``data_for_lag`` supplies the train and validation arrays at each
     window length; stage one uses normal mode regardless of
-    ``base_train.mode``, stage two uses adversarial mode.
+    ``base_train.mode``, stage two uses adversarial mode.  ``workers``
+    counts the processes that train cells, this one included; the
+    others are forked, so they inherit ``data_for_lag`` instead of
+    receiving it pickled.
     """
+    stage1_cells = list(starmap(GridCell, product(grid.hidden_sizes, grid.lags, grid.l2_coefs)))
+    stage_sizes = (len(stage1_cells), len(grid.adv_weights) * len(grid.adv_scales))
+    children = min(workers, max(stage_sizes)) - 1  # this process runs a cell of each stage
+    pool = None
+    if children > 0:
+        # Imported here, so that no other command holds the pool's modules.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def evaluate(mode: str, cells: Iterable[GridCell]) -> Iterator[GridCell]:
-        for cell in map(partial(_evaluate_cell, data_for_lag, replace(base_train, mode=mode)), cells):
-            if on_cell is not None:
-                on_cell(cell)
-            yield cell
-
-    cells = starmap(GridCell, product(grid.hidden_sizes, grid.lags, grid.l2_coefs))
-    stage1 = list(evaluate("normal", cells))
-    s1 = max(stage1, key=lambda c: (c.val_acc, -c.hidden_size, -c.lag, -c.l2_coef))
-    cells = (replace(s1, adv_weight=b, adv_scale=e)
-             for b, e in product(grid.adv_weights, grid.adv_scales))
-    stage2 = list(evaluate("adversarial", cells))
+        # Fork, whatever the platform default: a child inherits the data,
+        # the one-thread BLAS pin and the heap settings without importing
+        # or unpickling anything.
+        pool = ProcessPoolExecutor(children, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_init_worker, initargs=(data_for_lag,))
+    try:
+        stage1 = _evaluate_stage(stage1_cells, data_for_lag, replace(base_train, mode="normal"),
+                                 pool, on_cell)
+        s1 = max(stage1, key=lambda c: (c.val_acc, -c.hidden_size, -c.lag, -c.l2_coef))
+        cells = [replace(s1, adv_weight=b, adv_scale=e)
+                 for b, e in product(grid.adv_weights, grid.adv_scales)]
+        stage2 = _evaluate_stage(cells, data_for_lag, replace(base_train, mode="adversarial"),
+                                 pool, on_cell)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     s2 = max(stage2, key=lambda c: (c.val_acc, -c.adv_weight, -c.adv_scale))
     return GridResult(stage1 + stage2, s1, s2)

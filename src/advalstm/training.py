@@ -94,7 +94,7 @@ class TrainConfig:
 
 def _check_labels(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not np.all((y == 1.0) | (y == -1.0)):
         raise ContractError("labels must be +1 or -1")
     return y
 

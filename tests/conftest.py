@@ -1,4 +1,5 @@
 import datetime as dt
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -6,6 +7,13 @@ import pytest
 from advalstm.market_data import PRICE_COLUMNS, EodSeries
 from advalstm.model import ModelDims, init_params
 from advalstm.synthetic import make_regime_examples
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    """A worker pool that outlives its call would hang a later run."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import re
 import struct
 import warnings
 
@@ -113,6 +114,20 @@ class TestContainer:
         payload = b"\x00" * 8 if isinstance(header, dict) and header["tensors"] else b""
         p.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + payload)
         with pytest.raises(ArtifactMismatchError):
+            read_container(p)
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"dtype": "|V0", "shape": [3]}, "dtype '|V0', which no container holds"),
+        ({"dtype": [], "shape": [3]}, "dtype [], which no container holds"),
+        ({"dtype": ">f8", "shape": [1]}, "dtype '>f8', which no container holds"),
+        ({"dtype": "<f8", "shape": [2**62, 4]}, "truncated tensor 't'"),
+    ], ids=["zero_itemsize", "empty_struct", "big_endian", "int64_overflow"])
+    def test_bad_tensor_entry_rejected(self, tmp_path, entry, message):
+        p = tmp_path / "x.bin"
+        raw = json.dumps({"format_version": 1, "meta": {},
+                          "tensors": [{"name": "t", **entry}]}).encode()
+        p.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + b"\x00" * 8)
+        with pytest.raises(ArtifactMismatchError, match=re.escape(message)):
             read_container(p)
 
 

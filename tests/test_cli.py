@@ -25,6 +25,7 @@ from advalstm.artifacts import (
 )
 from advalstm.cli import main
 from advalstm.config import dump_config, load_config
+from advalstm.errors import DivergenceError
 from advalstm.model import init_params
 from advalstm.synthetic import write_regime_price_csv
 
@@ -277,6 +278,32 @@ class TestTrain:
         assert "train windows must be finite" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["tensors"][0].update(dtype="|V0"), "which no container holds"),
+        (lambda h: h["tensors"][0].update(dtype=">f8"), "which no container holds"),
+        (lambda h: h["tensors"][0].update(shape=[2**62, 4]), "truncated tensor 'adj_close'"),
+        (lambda h: h["meta"].update(lag=5.9), "dataset lag must be an integer >= 1"),
+        (lambda h: h["meta"].update(lag="5"), "dataset lag must be an integer >= 1"),
+        (lambda h: h["meta"]["stocks"].__setitem__(1, h["meta"]["stocks"][0]),
+         "dataset stocks must be distinct strings"),
+        (lambda h: h["meta"].update(stocks=list(range(len(h["meta"]["stocks"])))),
+         "dataset stocks must be distinct strings"),
+        (lambda h: h["meta"].update(stocks="ABCD"), "dataset stocks must be distinct strings"),
+        (lambda h: h["meta"]["calendar"].reverse(), "calendar must be strictly increasing"),
+        (lambda h: h["meta"]["calendar"].__setitem__(1, h["meta"]["calendar"][0]),
+         "calendar must be strictly increasing"),
+        (lambda h: h["meta"]["calendar"].__setitem__(0, h["meta"]["calendar"][0].replace("-", "")),
+         "Invalid isoformat string"),
+    ], ids=["dtype_V0", "dtype_big_endian", "shape_overflow", "lag_float", "lag_string",
+            "stocks_repeated", "stocks_ints", "stocks_one_string", "calendar_reversed",
+            "calendar_repeated", "calendar_not_iso"])
+    def test_bad_dataset_header_exits_4(self, built, capsys, edit, message):
+        cfg, out, _ = built
+        rewrite_header(out / "dataset.bin", edit)
+        assert run("train", "--config", str(cfg)) == 4
+        assert message in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
     def test_seed_flag_overrides(self, built):
         cfg, out, _ = built
         assert run("train", "--config", str(cfg), "--seed", "99") == 0
@@ -406,6 +433,49 @@ class TestGrid:
         assert run("grid", "--config", str(grid_cfg)) == 3
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "grid_results.csv").exists()
+
+    def test_divergence_in_a_worker_exits_3(self, price_dir, built, monkeypatch, capsys):
+        cfg, out, base = built
+        parent = os.getpid()
+        real_evaluate_cell = gridsearch._evaluate_cell
+
+        def diverging_in_workers(data_for_lag, base_train, cell):
+            if os.getpid() != parent:
+                raise DivergenceError("non-finite loss in a worker")
+            return real_evaluate_cell(data_for_lag, base_train, cell)
+
+        monkeypatch.setattr(gridsearch, "_evaluate_cell", diverging_in_workers)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid_cfg = write_config(
+            base / "div.cfg", price_dir, out,
+            **{"grid.hidden_sizes": "4,8", "grid.lags": "2,5", "grid.l2_coefs": "0.01",
+               "grid.adv_weights": "0.01", "grid.adv_scales": "0.05", "grid.epochs": "2"},
+        )
+        assert run("grid", "--config", str(grid_cfg)) == 3
+        assert "non-finite loss in a worker" in capsys.readouterr().err
+        assert not (out / "grid_results.csv").exists()
+
+    def test_bytes_do_not_depend_on_the_cpu_count(self, price_dir, built):
+        cfg, out, base = built
+        grid_cfg = write_config(
+            base / "g.cfg", price_dir, out,
+            **{"grid.hidden_sizes": "4,8", "grid.lags": "2,5", "grid.l2_coefs": "0.01",
+               "grid.adv_weights": "0.01,0.1", "grid.adv_scales": "0.05", "grid.epochs": "2"},
+        )
+        # numpy starts its BLAS with as many threads as it likes; the
+        # forked workers must inherit the CLI's one-thread pin.
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(advalstm.__file__).resolve().parents[1])
+        outputs = []
+        for cpus in (1, 2):
+            script = (f"import os, sys; os.sched_getaffinity = lambda pid: set(range({cpus})); "
+                      f"from advalstm.cli import main; sys.exit(main(['grid', '--config', "
+                      f"{str(grid_cfg)!r}]))")
+            subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("grid_results.csv", "best_config.cfg")])
+        assert outputs[0] == outputs[1]
 
     def test_lag_deeper_than_dataset_exits_4(self, price_dir, built):
         cfg, out, base = built

@@ -30,6 +30,15 @@ class TestConfusion:
         with pytest.raises(ContractError):
             confusion_counts([1, 0], [1, 1])
 
+    @pytest.mark.parametrize("bad", [0.0, 2.0, np.nan])
+    @pytest.mark.parametrize("side", ["labels", "predictions"])
+    def test_non_sign_value_rejected(self, bad, side):
+        good = np.array([1.0, -1.0, 1.0])
+        wrong = np.array([1.0, bad, 1.0])
+        args = (wrong, good) if side == "labels" else (good, wrong)
+        with pytest.raises(ContractError, match="must be \\+1 or -1"):
+            confusion_counts(*args)
+
 
 class TestAccuracy:
     def test_two_thirds(self):

@@ -1,9 +1,11 @@
+import os
+import time
 from dataclasses import replace
 
 import pytest
 
 from advalstm import gridsearch
-from advalstm.errors import ContractError
+from advalstm.errors import ContractError, DivergenceError
 from advalstm.evaluation import accuracy, mcc
 from advalstm.gridsearch import GridSpec, grid_search
 from advalstm.model import classify, predict
@@ -189,3 +191,62 @@ class TestSelectionRules:
         assert (result.best.adv_weight, result.best.adv_scale) == winner
         assert result.best is result.best_stage2
         assert result.best.val_acc == 70.0
+
+
+def pid_recording_search(monkeypatch, grid, **kwargs):
+    """Run grid_search with cells that record the pid that scored them in
+    val_mcc; a cell that the calling process runs takes 50 ms, so the
+    forked worker has time to start on its own cells."""
+    parent = os.getpid()
+
+    def fake_evaluate_cell(data_for_lag, base, cell):
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        return replace(cell, val_acc=50.0, val_mcc=float(os.getpid()))
+
+    monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
+    return grid_search(grid, easy_data_for_lag, BASE, **kwargs)
+
+
+class TestWorkers:
+    GRID = GridSpec(hidden_sizes=(4, 8, 16), lags=(2, 5, 15), l2_coefs=(0.01,),
+                    adv_weights=(0.01, 0.1), adv_scales=(0.01, 0.05))
+
+    def test_two_workers_give_the_serial_result(self):
+        grid = GridSpec(hidden_sizes=(4, 8), lags=(2, 3), l2_coefs=(0.01, 0.1),
+                        adv_weights=(0.01, 0.1), adv_scales=(0.01,))
+        seen = []
+        pooled = grid_search(grid, easy_data_for_lag, BASE, on_cell=seen.append, workers=2)
+        assert pooled == grid_search(grid, easy_data_for_lag, BASE)
+        assert sorted(map(pooled.cells.index, seen)) == list(range(grid.cell_count()))
+
+    def test_the_calling_process_runs_cells_of_each_stage(self, monkeypatch):
+        result = pid_recording_search(monkeypatch, self.GRID, workers=2)
+        stage1, stage2 = result.cells[:9], result.cells[9:]
+        for stage in (stage1, stage2):
+            assert float(os.getpid()) in {c.val_mcc for c in stage}
+        assert len({c.val_mcc for c in result.cells}) == 2  # the worker ran cells too
+        # the cheapest cell never leaves this process
+        assert stage1[0].val_mcc == float(os.getpid())
+
+    def test_on_cell_runs_here_once_per_cell(self, monkeypatch):
+        calls = []
+        result = pid_recording_search(
+            monkeypatch, self.GRID, workers=2,
+            on_cell=lambda cell: calls.append((os.getpid(), cell)),
+        )
+        assert {pid for pid, _ in calls} == {os.getpid()}
+        assert sorted(result.cells.index(c) for _, c in calls) == list(range(13))
+
+    def test_divergence_in_a_worker_raises(self, monkeypatch):
+        parent = os.getpid()
+
+        def fake_evaluate_cell(data_for_lag, base, cell):
+            if os.getpid() != parent:
+                raise DivergenceError("non-finite loss in a worker")
+            time.sleep(0.05)
+            return replace(cell, val_acc=50.0, val_mcc=0.0)
+
+        monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
+        with pytest.raises(DivergenceError, match="in a worker"):
+            grid_search(self.GRID, easy_data_for_lag, BASE, workers=2)

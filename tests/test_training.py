@@ -50,6 +50,17 @@ class TestHinge:
         with pytest.raises(ContractError):
             hinge_grad(np.array([2.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [0.0, 2.0, np.nan])
+    def test_non_sign_label_rejected_on_every_step(self, small_params, small_batch, bad):
+        x, y = small_batch
+        y = y.copy()
+        y[5] = bad
+        for call in (lambda: objective_normal(x, y, small_params, 0.1),
+                     lambda: objective_adversarial(x, y, small_params, 0.1, 0.5, 0.01),
+                     lambda: hinge_loss(y, np.zeros_like(y))):
+            with pytest.raises(ContractError, match="labels must be"):
+                call()
+
 
 class TestConfig:
     def test_mode_validated(self):
