@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 
 from advalstm.market_data import (
-    PRICE_COLUMNS, SplitSpec, align_trading_days, compute_features, ingest_eod, label_and_window,
+    PRICE_COLUMNS, SplitSpec, align_trading_days, compute_features, gather_windows, ingest_eod,
+    label_and_window,
 )
 from advalstm.synthetic import write_regime_price_csv
 
@@ -36,9 +37,10 @@ feats = compute_features(aligned.prices)[s, 40]
 print("feature vector on day 40:")
 print(np.array2string(feats, precision=4))
 
-# label + window: lag-day windows anchored at day t, labeled by day t+1's
-# adjusted-close movement; moves inside (-0.5%, +0.55%) are dropped as neutral.
-# Each split is columnar: one (n, lag, 11) array of windows plus per-row columns.
+# label: anchor day t is labeled by day t+1's adjusted-close movement; moves
+# inside (-0.5%, +0.55%) are dropped as neutral.  Each split is columnar: a
+# label, a stock index and an anchor-day index per row.  The features of every
+# stock-day are kept once, in a panel that ends on the last anchor day.
 spec = SplitSpec(
     train_end=dt.date(2020, 3, 1),
     val_end=dt.date(2020, 4, 15),
@@ -51,11 +53,17 @@ for name in ("train", "val", "test"):
     split = getattr(splits, name)
     pos = fractions[name]
     pos_text = f"{pos:.1%} positive" if pos is not None else "empty"
-    print(f"{name}: {len(split)} examples, windows {split.windows.shape}, {pos_text}")
+    print(f"{name}: {len(split)} examples, {pos_text}")
+print("feature panel", splits.features.shape, "(stocks, days up to the last anchor, features)")
 
 # each row remembers where it came from: an index into the sorted stocks
-# and one into the trading calendar
+# and one into the trading calendar.  Its lag window is a gather from the
+# panel: the lag days that end on the anchor day.
 train = splits.train
-print("first train example:", aligned.stocks[train.stock_idx[0]],
-      "anchored at", aligned.calendar[train.anchor_idx[0]],
-      "label", train.labels[0], f"movement {train.movement[0]:+.4%}")
+s, t = train.stock_idx[0], train.anchor_idx[0]
+adj = aligned.adj_close
+print("first train example:", aligned.stocks[s], "anchored at", aligned.calendar[t],
+      "label", train.labels[0], f"movement {adj[s, t + 1] / adj[s, t] - 1.0:+.4%}")
+window = gather_windows(splits.features, train.stock_idx[:1], train.anchor_idx[:1], spec.lag)[0]
+print(f"its window, {spec.lag} days x 11 features, oldest day first:")
+print(np.array2string(window, precision=4))

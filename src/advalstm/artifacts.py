@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ArtifactMismatchError, ContractError
 from .evaluation import HistogramReport
 from .market_data import (FEATURE_DIM, SPLIT_NAMES, DatasetSplits, SplitArrays, SplitSpec,
-                          _parse_date)
+                          _parse_date, gather_windows)
 from .model import ModelDims, PARAM_FIELDS, ParamSet, param_shapes
 
 MAGIC = b"ADVALSTM"
@@ -187,7 +187,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
 
 @dataclass
 class DatasetArtifact:
-    """In-memory view of a stored dataset: splits plus aligned prices."""
+    """In-memory view of a stored dataset: splits, feature panel and prices."""
 
     splits: DatasetSplits
     stocks: list[str]
@@ -200,10 +200,10 @@ class DatasetArtifact:
         return self.meta["lag"]
 
     def arrays(self, split: str, lag: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Model-ready (windows, float labels) of one split.
+        """Model-ready (windows, float labels) of one split, gathered from the panel.
 
-        A shorter ``lag`` keeps the last ``lag`` days of each stored
-        window, so every lag sees the same anchors and labels.
+        A window of any ``lag`` up to the dataset's ends on the same
+        anchor day, so every lag sees the same anchors and labels.
         """
         lag = self.lag if lag is None else lag
         if lag < 1:
@@ -214,9 +214,8 @@ class DatasetArtifact:
                 f"rebuild with data.lag >= {lag}"
             )
         data: SplitArrays = getattr(self.splits, split)
-        windows = data.windows[:, -lag:, :]
-        windows.flags.writeable = False  # a view of the stored split
-        return windows, data.labels.astype(np.float64)
+        return (gather_windows(self.splits.features, data.stock_idx, data.anchor_idx, lag),
+                data.labels.astype(np.float64))
 
 
 def save_dataset(
@@ -239,35 +238,29 @@ def save_dataset(
         "stocks": list(stocks),
         "dropped": list(dropped),
         "calendar": [d.isoformat() for d in calendar],
-        "feat_dim": FEATURE_DIM,
     }
-    tensors: dict[str, np.ndarray] = {
-        "adj_close": np.asarray(adj_close, dtype=np.float64)
-    }
-    for split in SPLIT_NAMES:
-        for f in fields(SplitArrays):
-            tensors[f"{split}_{f.name}"] = getattr(getattr(splits, split), f.name)
+    tensors = {f"{split}_{f.name}": getattr(getattr(splits, split), f.name)
+               for split in SPLIT_NAMES for f in fields(SplitArrays)}
+    tensors.update(adj_close=np.asarray(adj_close, dtype=np.float64), features=splits.features)
     write_container(path, meta, tensors)
 
 
-def _check_split(path, split: str, data: SplitArrays, lag: int, n_stocks: int, n_days: int):
+def _check_split(path, split: str, data: SplitArrays, lag: int, n_stocks: int, finite):
     n = len(data)
-    if data.windows.shape != (n, lag, FEATURE_DIM) or any(
-        getattr(data, f.name).shape != (n,) for f in fields(SplitArrays) if f.name != "windows"
-    ):
+    if any(getattr(data, f.name).shape != (n,) for f in fields(SplitArrays)):
         raise ArtifactMismatchError(f"{path}: inconsistent {split} split sizes")
-    for f in fields(SplitArrays):  # the dtype kinds save_dataset writes
-        want = np.floating if f.name in ("windows", "movement") else np.signedinteger
-        if not np.issubdtype(getattr(data, f.name).dtype, want):
-            raise ArtifactMismatchError(f"{path}: {split} {f.name} must have a {want.__name__} dtype")
-    if not np.isfinite(data.windows).all():
-        raise ArtifactMismatchError(f"{path}: {split} windows must be finite")
+    for f in fields(SplitArrays):  # the dtype kind save_dataset writes
+        if not np.issubdtype(getattr(data, f.name).dtype, np.signedinteger):
+            raise ArtifactMismatchError(f"{path}: {split} {f.name} must have a signedinteger dtype")
     if not np.all((data.labels == 1) | (data.labels == -1)):
         raise ArtifactMismatchError(f"{path}: {split} labels must be +1 or -1")
-    for name, bound in (("stock_idx", n_stocks), ("anchor_idx", n_days)):
+    # The window of an anchor below lag - 1 would wrap round to the panel's end.
+    for name, low, high in (("stock_idx", 0, n_stocks), ("anchor_idx", lag - 1, finite.shape[1])):
         idx = getattr(data, name)
-        if n and (idx.min() < 0 or idx.max() >= bound):
-            raise ArtifactMismatchError(f"{path}: {split} {name} out of range [0, {bound})")
+        if n and (idx.min() < low or idx.max() >= high):
+            raise ArtifactMismatchError(f"{path}: {split} {name} out of range [{low}, {high})")
+    if not gather_windows(finite, data.stock_idx, data.anchor_idx, lag).all():
+        raise ArtifactMismatchError(f"{path}: {split} windows must be finite")
 
 
 def load_dataset(path: str | Path) -> DatasetArtifact:
@@ -281,11 +274,13 @@ def load_dataset(path: str | Path) -> DatasetArtifact:
         splits = DatasetSplits(**{
             split: SplitArrays(**{f.name: tensors[f"{split}_{f.name}"] for f in fields(SplitArrays)})
             for split in SPLIT_NAMES
-        })
+        }, features=tensors["features"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ArtifactMismatchError(f"{path}: incomplete dataset: {exc!r}") from exc
-    if type(lag) is not int or lag < 1:
-        raise ArtifactMismatchError(f"{path}: dataset lag must be an integer >= 1, got {lag!r}")
+        raise ArtifactMismatchError(f"{path}: incomplete dataset: {exc!r}; "
+                                    "rerun `advalstm build` to rewrite it") from exc
+    if type(lag) is not int or not 1 <= lag <= len(calendar):
+        raise ArtifactMismatchError(f"{path}: dataset lag must be an integer >= 1 "
+                                    f"and no longer than the calendar, got {lag!r}")
     if (type(stocks) is not list or not all(type(s) is str for s in stocks)
             or len(set(stocks)) != len(stocks)):
         raise ArtifactMismatchError(f"{path}: dataset stocks must be distinct strings")
@@ -295,8 +290,14 @@ def load_dataset(path: str | Path) -> DatasetArtifact:
         raise ArtifactMismatchError(f"{path}: adj_close does not match stocks x calendar")
     if adj_close.dtype.kind != "f" or not np.all((adj_close > 0) & (adj_close <= sys.float_info.max)):
         raise ArtifactMismatchError(f"{path}: adj_close must be finite and > 0, in a floating dtype")
+    features = splits.features
+    if (features.dtype.kind != "f" or features.ndim != 3 or features.shape[1] > len(calendar)
+            or features.shape[::2] != (len(stocks), FEATURE_DIM)):
+        raise ArtifactMismatchError(f"{path}: features must be floating, stocks x at most "
+                                    f"the calendar's days x {FEATURE_DIM}")
+    finite = np.isfinite(features).all(axis=2)
     for split in SPLIT_NAMES:
-        _check_split(path, split, getattr(splits, split), lag, len(stocks), len(calendar))
+        _check_split(path, split, getattr(splits, split), lag, len(stocks), finite)
     return DatasetArtifact(splits, stocks, calendar, adj_close, meta)
 
 

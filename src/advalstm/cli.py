@@ -176,7 +176,7 @@ def cmd_grid(args) -> int:
     dataset = artifacts.load_dataset(dataset_path)
     grid = config.grid_spec()
 
-    # Sliced up front, so a lag deeper than the dataset's fails before any training.
+    # Gathered up front, so a lag deeper than the dataset's fails before any training.
     data = {
         lag: (*dataset.arrays("train", lag), *dataset.arrays("val", lag))
         for lag in grid.lags

@@ -5,8 +5,8 @@ whole columns parsed and checked at once -> one date-sorted EodSeries of
 date ordinals and prices per stock), trading-day alignment (intersection
 calendar across stocks, stored as one dense (stocks, days, price column)
 panel), feature computation (11 price ratios for every stock-day of the
-panel at once), and labeling/windowing (lag windows with next-day
-movement labels, partitioned into temporal train/val/test splits).
+panel at once), and labeling (next-day movement labels of anchor days in
+temporal train/val/test splits; ``gather_windows`` reads their windows).
 
 All prices are taken as given; adjusted close is used for movement
 labels and moving averages, raw close for the close-to-close return.
@@ -135,12 +135,10 @@ class AlignedData:
 @dataclass(frozen=True)
 class SplitArrays:
     """One split in columnar form: row i of every array is one labeled
-    lag window.  ``windows[i, j]`` is the feature vector of the j-th
-    oldest day; the last row belongs to the anchor day."""
+    example, the window of stock ``stock_idx[i]`` that ends on calendar
+    day ``anchor_idx[i]`` (see ``gather_windows``)."""
 
-    windows: np.ndarray     # (n, lag, FEATURE_DIM) float64
     labels: np.ndarray      # (n,) int8, +1 or -1
-    movement: np.ndarray    # (n,) float64, next-day adjusted-close change
     stock_idx: np.ndarray   # (n,) int32, position in the sorted stock list
     anchor_idx: np.ndarray  # (n,) int32, calendar index of the anchor day
 
@@ -153,6 +151,7 @@ class DatasetSplits:
     train: SplitArrays
     val: SplitArrays
     test: SplitArrays
+    features: np.ndarray  # (n_stocks, last anchor + 1, FEATURE_DIM) float64
 
     def counts(self) -> dict[str, int]:
         return {name: len(getattr(self, name)) for name in SPLIT_NAMES}
@@ -383,19 +382,26 @@ def compute_features(prices: np.ndarray) -> np.ndarray:
     return out
 
 
+def gather_windows(features: np.ndarray, stock_idx: np.ndarray, anchor_idx: np.ndarray,
+                   lag: int) -> np.ndarray:
+    """``out[i, j]`` is ``features[stock_idx[i], anchor_idx[i] - lag + 1 + j]``: the
+    windows end on their anchors.  A day index below 0 wraps to the panel's end."""
+    return features[stock_idx[:, None], anchor_idx[:, None] + np.arange(1 - lag, 1)]
+
+
 @np.errstate(over="ignore")
 def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
-    """Build labeled lag windows and assign them to splits.
+    """Label anchor days and assign them to splits.
 
     The movement percent of an anchor day is the next trading day's
-    adjusted-close change; windows strictly between the thresholds are
-    discarded everywhere (they exist in no split).  Rows are ordered by
-    stock (sorted), then anchor day.  An empty split is a warning, not
-    an error.  Raises DataError when a window reads a non-finite
-    feature or a retained row's movement is non-finite, which extreme
-    price ratios overflow to.
+    adjusted-close change; anchors strictly between the thresholds are in
+    no split.  Rows are ordered by stock (sorted), then anchor day.  The
+    feature panel ends on the last anchor day.  An empty split is a
+    warning.  Raises DataError when a window reads a non-finite feature
+    or a row's movement is non-finite, which extreme ratios overflow to.
     """
     feats = compute_features(aligned.prices)
+    finite = np.isfinite(feats).all(axis=2)
     adj = aligned.adj_close
     anchors = np.arange(MIN_HISTORY - 1 + spec.lag - 1, len(aligned.calendar) - 1)
     movement = adj[:, anchors + 1] / adj[:, anchors] - 1.0
@@ -405,17 +411,15 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
     # 0 train, 1 val, 2 test, 3 past the test end (half-open intervals)
     bucket = np.searchsorted(bounds, [aligned.calendar[t].toordinal() for t in anchors],
                              side="right")
-    offsets = np.arange(1 - spec.lag, 1)
     splits = {}
     for b, name in enumerate(SPLIT_NAMES):
         stock, a = np.nonzero((bucket == b) & (labels != 0))
         t = anchors[a]
-        windows = feats[stock[:, None], t[:, None] + offsets]
-        bad = ~np.isfinite(windows).all(axis=2)
+        bad = ~gather_windows(finite, stock, t, spec.lag)
         if bad.any():
             row, j = np.argwhere(bad)[0]
             raise DataError(f"non-finite feature for {aligned.stocks[stock[row]]} on "
-                            f"{aligned.calendar[t[row] + offsets[j]]}")
+                            f"{aligned.calendar[t[row] + 1 - spec.lag + j]}")
         bad_move = np.flatnonzero(~np.isfinite(movement[stock, a]))
         if bad_move.size:
             row = bad_move[0]
@@ -424,11 +428,6 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
         if not stock.size:
             warnings.warn(f"split {name!r} has no retained examples", EmptySplitWarning,
                           stacklevel=2)
-        splits[name] = SplitArrays(
-            windows=windows,
-            labels=labels[stock, a],
-            movement=movement[stock, a],
-            stock_idx=stock.astype(np.int32),
-            anchor_idx=t.astype(np.int32),
-        )
-    return DatasetSplits(**splits)
+        splits[name] = SplitArrays(labels[stock, a], stock.astype(np.int32), t.astype(np.int32))
+    end = max((int(s.anchor_idx.max()) + 1 for s in splits.values() if len(s)), default=0)
+    return DatasetSplits(**splits, features=feats[:, :end])

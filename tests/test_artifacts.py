@@ -28,11 +28,14 @@ from advalstm.artifacts import (
 from advalstm.errors import ArtifactMismatchError, EmptySplitWarning
 from advalstm.evaluation import confidence_histogram
 from advalstm.gridsearch import GridCell
-from advalstm.market_data import SplitSpec, align_trading_days, label_and_window
+from advalstm.market_data import (SPLIT_NAMES, SplitSpec, align_trading_days, ingest_eod,
+                                  label_and_window)
 from advalstm.model import ModelDims, init_params
+from advalstm.synthetic import write_regime_price_csv
 from advalstm.training import EpochRecord
 
 from conftest import series_from_closes
+from helpers import feature_oracle
 
 
 class TestContainer:
@@ -235,11 +238,15 @@ class TestDataset:
         assert ds.meta["dropped"] == ["Z"]
         assert ds.lag == 3
         np.testing.assert_array_equal(ds.adj_close, adj)
+        assert ds.splits.features.dtype == splits.features.dtype
+        np.testing.assert_array_equal(ds.splits.features, splits.features)
+        # the first 29 days read by no window are NaN, and load accepts them
+        assert np.isnan(ds.splits.features[:, :29]).all()
         for split in ("train", "val", "test"):
             orig = getattr(splits, split)
             got = getattr(ds.splits, split)
             assert len(orig) == len(got)
-            for name in ("stock_idx", "anchor_idx", "labels", "movement", "windows"):
+            for name in ("stock_idx", "anchor_idx", "labels"):
                 a, b = getattr(orig, name), getattr(got, name)
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
@@ -261,9 +268,13 @@ class TestDataset:
         with pytest.raises(ArtifactMismatchError, match="not a dataset"):
             load_dataset(p)
 
+    # 2 stocks, 60 days, lag 3.  The last anchor is day 58, so the panel
+    # holds days 0..58: anchor 1 would read day -1, which the gather
+    # wraps to day 58, and anchor 59 lies past the panel.
     @pytest.mark.parametrize(
         "name, value",
-        [("stock_idx", -1), ("stock_idx", 2), ("anchor_idx", -1), ("anchor_idx", 60)],
+        [("stock_idx", -1), ("stock_idx", 2), ("anchor_idx", -1), ("anchor_idx", 60),
+         ("anchor_idx", 1), ("anchor_idx", 59)],
     )
     def test_index_out_of_range_rejected(self, tmp_path, name, value):
         splits, spec, stocks, calendar, adj = small_dataset()
@@ -281,7 +292,9 @@ class TestDataset:
         path = tmp_path / "d.bin"
         save_dataset(path, splits, spec, stocks, calendar, adj)
         meta, tensors = read_container(path)
-        tensors[f"{split}_windows"][-1, 0, 4] = value
+        # the oldest day of the split's last window
+        stock, anchor = tensors[f"{split}_stock_idx"][-1], tensors[f"{split}_anchor_idx"][-1]
+        tensors["features"][stock, anchor - spec.lag + 1, 4] = value
         write_container(path, meta, tensors)
         with pytest.raises(ArtifactMismatchError, match=f"{split} windows must be finite"):
             load_dataset(path)
@@ -301,10 +314,10 @@ class TestDataset:
         ("test_stock_idx", np.float64, "test stock_idx must have a signedinteger dtype"),
         ("val_anchor_idx", np.float64, "val anchor_idx must have a signedinteger dtype"),
         ("train_labels", np.float64, "train labels must have a signedinteger dtype"),
-        ("train_windows", np.int64, "train windows must have a floating dtype"),
-        ("test_movement", np.int64, "test movement must have a floating dtype"),
+        ("features", np.int64, "features must be floating"),
+        ("test_labels", np.float64, "test labels must have a signedinteger dtype"),
         ("adj_close", np.int64, "adj_close must be finite and > 0, in a floating dtype"),
-    ], ids=["test_stock_idx", "val_anchor_idx", "train_labels", "train_windows", "test_movement",
+    ], ids=["test_stock_idx", "val_anchor_idx", "train_labels", "features", "test_labels",
             "adj_close"])
     def test_dtype_kind_checked(self, tmp_path, name, dtype, message):
         # In-range values of the wrong kind: a float index array would pass
@@ -313,7 +326,7 @@ class TestDataset:
         path = tmp_path / "d.bin"
         save_dataset(path, splits, spec, stocks, calendar, adj)
         meta, tensors = read_container(path)
-        tensors[name] = np.ceil(tensors[name]).astype(dtype)
+        tensors[name] = np.ceil(np.nan_to_num(tensors[name])).astype(dtype)
         write_container(path, meta, tensors)
         with pytest.raises(ArtifactMismatchError, match=message):
             load_dataset(path)
@@ -329,10 +342,46 @@ class TestDataset:
         path = tmp_path / "d.bin"
         save_dataset(path, splits, spec, stocks, calendar, adj)
         meta, tensors = read_container(path)
-        tensors["val_movement"] = tensors["val_movement"][:-1]
+        tensors["val_labels"] = tensors["val_labels"][:-1]
         write_container(path, meta, tensors)
         with pytest.raises(ArtifactMismatchError, match="inconsistent val split sizes"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("shape", [(3, 59, 11), (2, 61, 11), (2, 59, 10), (2, 59)],
+                             ids=["stocks", "days", "feat_dim", "two_axes"])
+    def test_feature_panel_shape_checked(self, tmp_path, shape):
+        splits, spec, stocks, calendar, adj = small_dataset()
+        path = tmp_path / "d.bin"
+        save_dataset(path, splits, spec, stocks, calendar, adj)
+        meta, tensors = read_container(path)
+        tensors["features"] = np.zeros(shape)
+        write_container(path, meta, tensors)
+        with pytest.raises(ArtifactMismatchError,
+                           match="features must be floating, stocks x at most the calendar.s days x 11"):
+            load_dataset(path)
+
+    def test_arrays_match_the_feature_oracle_at_every_lag(self, tmp_path):
+        write_regime_price_csv(tmp_path / "prices", n_stocks=3, n_days=90, seed=4)
+        aligned = align_trading_days(ingest_eod(tmp_path / "prices"))
+        spec = SplitSpec(train_end=dt.date(2020, 2, 20), val_end=dt.date(2020, 3, 5),
+                         test_end=dt.date(2020, 3, 20), lag=5)
+        splits = label_and_window(aligned, spec)
+        path = tmp_path / "d.bin"
+        save_dataset(path, splits, spec, aligned.stocks, aligned.calendar, aligned.adj_close)
+        ds = load_dataset(path)
+        for split in SPLIT_NAMES:
+            data = getattr(ds.splits, split)
+            assert len(data)
+            for lag in range(1, spec.lag + 1):
+                x, y = ds.arrays(split, lag)
+                expected = [
+                    [feature_oracle(aligned.prices[s], t - lag + 1 + j) for j in range(lag)]
+                    for s, t in zip(data.stock_idx.tolist(), data.anchor_idx.tolist())
+                ]
+                assert x.tobytes() == np.array(expected).tobytes()
+                np.testing.assert_array_equal(y, data.labels)
+            with pytest.raises(ArtifactMismatchError, match="deeper than the dataset's lag 5"):
+                ds.arrays(split, spec.lag + 1)
 
     def test_arrays_slice_to_a_shorter_lag(self, tmp_path):
         splits, spec, stocks, calendar, adj = small_dataset()

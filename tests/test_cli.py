@@ -102,6 +102,16 @@ class TestBuild:
         assert f"{cfg}:14: key 'train.epochs' already set on line 10" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_no_feature_after_the_last_test_anchor_is_stored(self, price_dir, tmp_path):
+        # 120 days from 2020-01-01; days from 2020-04-15 on lie past the test end.
+        cfg = write_config(tmp_path / "run.cfg", price_dir, tmp_path / "out",
+                           **{"split.test_end": "2020-04-15"})
+        assert run("build", "--config", str(cfg)) == 0
+        meta, tensors = read_container(tmp_path / "out" / "dataset.bin")
+        days = tensors["features"].shape[1]
+        assert days == tensors["test_anchor_idx"].max() + 1
+        assert meta["calendar"][days - 1] < "2020-04-15" < meta["calendar"][-1]
+
     def test_rerun_is_byte_identical(self, price_dir, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         c1 = write_config(tmp_path / "c1.cfg", price_dir, out1)
@@ -272,10 +282,27 @@ class TestTrain:
     def test_non_finite_train_window_exits_4(self, built, capsys):
         cfg, out, _ = built
         meta, tensors = read_container(out / "dataset.bin")
-        tensors["train_windows"][3, 1, 2] = np.nan
+        # day 1 of train window 3
+        stock, anchor = tensors["train_stock_idx"][3], tensors["train_anchor_idx"][3]
+        tensors["features"][stock, anchor - meta["lag"] + 2, 2] = np.nan
         write_container(out / "dataset.bin", meta, tensors)
         assert run("train", "--config", str(cfg)) == 4
         assert "train windows must be finite" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
+    def test_dataset_of_stored_windows_exits_4_asking_for_a_rebuild(self, built, capsys):
+        # The layout before the feature panel: each split's windows in full.
+        cfg, out, _ = built
+        meta, tensors = read_container(out / "dataset.bin")
+        features = tensors.pop("features")
+        for split in ("train", "val", "test"):
+            stock, anchor = tensors[f"{split}_stock_idx"], tensors[f"{split}_anchor_idx"]
+            tensors[f"{split}_windows"] = features[
+                stock[:, None], anchor[:, None] + np.arange(1 - meta["lag"], 1)]
+            tensors[f"{split}_movement"] = np.zeros(len(stock))
+        write_container(out / "dataset.bin", meta, tensors)
+        assert run("train", "--config", str(cfg)) == 4
+        assert "rerun `advalstm build`" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
     @pytest.mark.parametrize("edit, message", [

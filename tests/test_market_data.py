@@ -31,6 +31,7 @@ from advalstm.market_data import (
     SplitSpec,
     align_trading_days,
     compute_features,
+    gather_windows,
     ingest_eod,
     label_and_window,
 )
@@ -406,8 +407,9 @@ class TestLabelAndWindow:
         aligned = rising_aligned(stocks=("A",))
         spec = make_spec(lag=4)
         splits = label_and_window(aligned, spec)
-        window = splits.val.windows[0]
-        t = splits.val.anchor_idx[0]
+        val = splits.val
+        (window,) = gather_windows(splits.features, val.stock_idx[:1], val.anchor_idx[:1], 4)
+        t = val.anchor_idx[0]
         for offset in range(4):
             np.testing.assert_array_equal(
                 window[offset], feature_oracle(aligned.prices[0], t - 3 + offset)
@@ -492,7 +494,8 @@ class TestStack:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptySplitWarning)
             splits = label_and_window(aligned, make_spec(lag=5))
-        x, y = splits.train.windows, splits.train.labels
+        train = splits.train
+        x, y = gather_windows(splits.features, train.stock_idx, train.anchor_idx, 5), train.labels
         assert x.shape == (len(splits.train), 5, FEATURE_DIM)
         assert x.dtype == np.float64
         assert set(np.unique(y)) <= {-1.0, 1.0}
@@ -501,7 +504,8 @@ class TestStack:
         with pytest.warns(EmptySplitWarning):
             splits = label_and_window(align_trading_days({"A": flat_series(60)}),
                                       make_spec(lag=2))
-        x, y = splits.train.windows, splits.train.labels
+        train = splits.train
+        x, y = gather_windows(splits.features, train.stock_idx, train.anchor_idx, 2), train.labels
         assert x.shape[0] == 0 and y.shape == (0,)
 
 
@@ -517,13 +521,14 @@ def random_series(seed, n_days=60):
     return EodSeries(dates=dates, prices=np.stack([open_, high, low, close, adj], axis=1))
 
 
-def rows_by_anchor(splits):
-    """anchor day index -> (window, label, movement) over every split."""
+def rows_by_anchor(splits, lag):
+    """anchor day index -> (window, label) over every split."""
     out = {}
     for name in ("train", "val", "test"):
         data = getattr(splits, name)
+        windows = gather_windows(splits.features, data.stock_idx, data.anchor_idx, lag)
         for i, t in enumerate(data.anchor_idx.tolist()):
-            out[t] = (data.windows[i], data.labels[i], data.movement[i])
+            out[t] = (windows[i], data.labels[i])
     return out
 
 
@@ -547,15 +552,16 @@ class TestColumnarBuild:
                     continue
                 rows = price_rows(records)
                 window = np.stack([feature_oracle(rows, d) for d in range(t - 3, t + 1)])
-                expected[name].append((s_idx, t, 1 if movement > 0 else -1, movement, window))
+                expected[name].append((s_idx, t, 1 if movement > 0 else -1, window))
         for name, rows in expected.items():
             got = getattr(splits, name)
             assert rows and len(got) == len(rows)
             assert got.stock_idx.tolist() == [r[0] for r in rows]
             assert got.anchor_idx.tolist() == [r[1] for r in rows]
             assert got.labels.tolist() == [r[2] for r in rows]
-            assert got.movement.tolist() == [r[3] for r in rows]
-            np.testing.assert_array_equal(got.windows, np.stack([r[4] for r in rows]))
+            np.testing.assert_array_equal(
+                gather_windows(splits.features, got.stock_idx, got.anchor_idx, spec.lag),
+                np.stack([r[3] for r in rows]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -572,19 +578,19 @@ class TestColumnarBuild:
         perturbed = EodSeries(series.dates, prices)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptySplitWarning)
-            before = rows_by_anchor(label_and_window(align_trading_days({"A": series}), spec))
+            before = rows_by_anchor(
+                label_and_window(align_trading_days({"A": series}), spec), spec.lag)
             after = rows_by_anchor(
-                label_and_window(align_trading_days({"A": perturbed}), spec)
+                label_and_window(align_trading_days({"A": perturbed}), spec), spec.lag
             )
-        for t, (window, label, movement) in before.items():
+        for t, (window, label) in before.items():
             if t + 1 < day:
                 # the change lies after t + 1: anchor t is untouched
                 assert t in after
                 np.testing.assert_array_equal(after[t][0], window)
                 assert after[t][1] == label
-                assert after[t][2].tobytes() == movement.tobytes()
             elif t + 1 == day and t in after:
-                # day t + 1 moves only anchor t's label and movement
+                # day t + 1 moves only anchor t's label
                 np.testing.assert_array_equal(after[t][0], window)
         for t in after:
             if t + 1 < day:
