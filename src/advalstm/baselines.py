@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, WindowError
+from .market_data import gather_windows
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ def _trailing(adj_close, stock, t, days: int, what: str) -> np.ndarray:
             f"{what} at index {short[0]} needs {days - 1} prior days "
             f"in a series of length {adj_close.shape[1]}"
         )
-    return adj_close[np.asarray(stock)[:, None], t[:, None] + np.arange(1 - days, 1)]
+    return gather_windows(adj_close, np.asarray(stock), t, days)
 
 
 def mom_predict(adj_close: np.ndarray, stock, t, window: int) -> np.ndarray:

@@ -176,18 +176,21 @@ def cmd_grid(args) -> int:
     dataset = artifacts.load_dataset(dataset_path)
     grid = config.grid_spec()
 
-    # Gathered up front, so a lag deeper than the dataset's fails before any training.
-    data = {
-        lag: (*dataset.arrays("train", lag), *dataset.arrays("val", lag))
-        for lag in grid.lags
-    }
+    # Each cell gathers its windows when it starts, in the process that runs it,
+    # so the grid holds one lag's windows at a time.  The deepest lag is checked
+    # here, so that it fails before any training.
+    dataset.arrays("val", max(grid.lags))
+
+    def data_for_lag(lag: int):
+        return (*dataset.arrays("train", lag), *dataset.arrays("val", lag))
+
     base = dataclasses.replace(config.train_config(), epochs=config.grid_epochs)
     # One process per usable CPU (taskset bounds it); no output byte depends on it.
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    result = grid_search(grid, data.__getitem__, base, workers=workers)
+    result = grid_search(grid, data_for_lag, base, workers=workers)
 
     artifacts.write_grid_csv(out / "grid_results.csv", result.cells)
-    best = result.best
+    best = result.best_stage2
     u = best.hidden_size
     best_config = dataclasses.replace(
         config, mode="adversarial", map_size=u, hidden_size=u, att_size=u, lag=best.lag,

@@ -72,10 +72,6 @@ class GridResult:
     best_stage1: GridCell
     best_stage2: GridCell
 
-    @property
-    def best(self) -> GridCell:
-        return self.best_stage2
-
 
 def _evaluate_cell(data_for_lag: DataForLag, base: TrainConfig, cell: GridCell) -> GridCell:
     """Train ``cell`` in ``base.mode`` and score it on the validation split."""
@@ -111,10 +107,11 @@ def _evaluate_stage(
 ) -> list[GridCell]:
     """Every cell of one stage, scored, in the order given.
 
-    With a pool, the children take the cells largest (hidden x lag)
-    first.  This process runs the cheapest cell, then walks back from
-    the cheap end and runs each cell that no child has started yet, so
-    no CPU idles and this process scores at least one cell per stage.
+    With a pool, the children take every cell but the cheapest, largest
+    (hidden x lag) first.  This process walks from the cheap end and runs
+    each cell that has no future, or whose future it cancels before a
+    child starts it, so no CPU idles and this process scores at least one
+    cell per stage.
     """
     done: list[GridCell | None] = [None] * len(cells)
 
@@ -123,17 +120,14 @@ def _evaluate_stage(
         if on_cell is not None:
             on_cell(cell)
 
-    if pool is None:
-        for i, cell in enumerate(cells):
-            finish(i, _evaluate_cell(data_for_lag, base, cell))
-        return done
-    *rest, cheapest = sorted(range(len(cells)), key=lambda i: -cells[i].hidden_size * cells[i].lag)
-    futures = {i: pool.submit(_evaluate_in_worker, base, cells[i]) for i in rest}
-    finish(cheapest, _evaluate_cell(data_for_lag, base, cells[cheapest]))
-    for i in reversed(rest):
-        if futures[i].cancel():
+    order = sorted(range(len(cells)), key=lambda i: cells[i].hidden_size * cells[i].lag)
+    futures = {} if pool is None else {
+        i: pool.submit(_evaluate_in_worker, base, cells[i]) for i in reversed(order[1:])
+    }
+    for i in order:
+        if i not in futures or futures[i].cancel():
             finish(i, _evaluate_cell(data_for_lag, base, cells[i]))
-    for i in rest:
+    for i in sorted(futures):
         if done[i] is None:
             finish(i, futures[i].result())
     return done

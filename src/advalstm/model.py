@@ -308,14 +308,9 @@ def _contract_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, rows).T @ b.reshape(-1, cols)
 
 
-def backward(
-    params: ParamSet, trace: ForwardTrace, d_yhat: np.ndarray
-) -> tuple[ParamSet, np.ndarray]:
-    """Exact gradients of a scalar loss given upstream dLoss/dyhat, which
-    has the trace's batch shape.
-
-    Returns (parameter gradients, dLoss/de).
-    """
+def backward(params: ParamSet, trace: ForwardTrace, d_yhat: np.ndarray) -> ParamSet:
+    """Exact parameter gradients of a scalar loss given upstream
+    dLoss/dyhat, which has the trace's batch shape."""
     d_yhat = np.asarray(d_yhat, dtype=np.float64)
     if d_yhat.shape != trace.yhat.shape:
         raise ShapeError(f"upstream shape {d_yhat.shape} != confidence shape {trace.yhat.shape}")
@@ -379,4 +374,4 @@ def backward(
     d_pre_m = d_m * (1.0 - trace.m * trace.m)
     grads.w_map += _contract_outer(d_pre_m, trace.x)
     grads.b_map += _sum_batch(d_pre_m)
-    return grads, d_e
+    return grads

@@ -155,7 +155,7 @@ def _objective(
     loss = scale * float(loss) + 0.5 * l2_coef * params.l2_norm_sq()
     if not np.isfinite(loss):
         raise NumericError("objective is non-finite")
-    grads, _ = backward(params, trace, d_yhat)
+    grads = backward(params, trace, d_yhat)
     if r is not None:
         grads.w_head += _sum_batch(r, d_yhat_adv)
     if l2_coef:

@@ -504,8 +504,16 @@ class TestGrid:
                             for name in ("grid_results.csv", "best_config.cfg")])
         assert outputs[0] == outputs[1]
 
-    def test_lag_deeper_than_dataset_exits_4(self, price_dir, built):
+    def test_lag_deeper_than_dataset_exits_4(self, price_dir, built, monkeypatch, capsys):
         cfg, out, base = built
+        trained = []
+        real_train = gridsearch.train
+
+        def counting_train(*args, **kwargs):
+            trained.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(gridsearch, "train", counting_train)
         grid_cfg = write_config(
             base / "g2.cfg", price_dir, out,
             **{"grid.lags": "2,10", "grid.hidden_sizes": "4",
@@ -513,6 +521,9 @@ class TestGrid:
                "grid.adv_scales": "0.05", "grid.epochs": "1"},
         )
         assert run("grid", "--config", str(grid_cfg)) == 4
+        assert "lag 10 is deeper than the dataset's lag" in capsys.readouterr().err
+        assert trained == []
+        assert not (out / "grid_results.csv").exists()
 
 
 class TestLag:

@@ -61,7 +61,7 @@ class TestSearch:
         assert (s1.adv_weight, s1.adv_scale) == (0.0, 0.0)
         assert (s2.adv_weight, s2.adv_scale) == (0.1, 0.05)
         assert result.best_stage1 == s1
-        assert result.best is result.best_stage2
+        assert result.best_stage2 == s2
 
     def test_cell_count_matches_spec(self):
         grid = GridSpec(hidden_sizes=(4, 8), lags=(2, 3), l2_coefs=(0.01,),
@@ -188,9 +188,9 @@ class TestSelectionRules:
             return accs.get((cell.adv_weight, cell.adv_scale), 50.0)
 
         result, _ = scripted_search(monkeypatch, self.GRID, acc_of)
-        assert (result.best.adv_weight, result.best.adv_scale) == winner
-        assert result.best is result.best_stage2
-        assert result.best.val_acc == 70.0
+        s2 = result.best_stage2
+        assert (s2.adv_weight, s2.adv_scale) == winner
+        assert s2.val_acc == 70.0
 
 
 def pid_recording_search(monkeypatch, grid, **kwargs):
