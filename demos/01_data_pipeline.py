@@ -47,23 +47,23 @@ spec = SplitSpec(
     test_end=dt.date(2020, 6, 1),
     lag=5,
 )
-splits = label_and_window(aligned, spec)
-fractions = splits.positive_fraction()
+dataset = label_and_window(aligned, spec)
+fractions = dataset.positive_fraction()
 for name in ("train", "val", "test"):
-    split = getattr(splits, name)
+    split = getattr(dataset, name)
     pos = fractions[name]
     pos_text = f"{pos:.1%} positive" if pos is not None else "empty"
     print(f"{name}: {len(split)} examples, {pos_text}")
-print("feature panel", splits.features.shape, "(stocks, days up to the last anchor, features)")
+print("feature panel", dataset.features.shape, "(stocks, days up to the last anchor, features)")
 
 # each row remembers where it came from: an index into the sorted stocks
 # and one into the trading calendar.  Its lag window is a gather from the
 # panel: the lag days that end on the anchor day.
-train = splits.train
+train = dataset.train
 s, t = train.stock_idx[0], train.anchor_idx[0]
-adj = aligned.adj_close
-print("first train example:", aligned.stocks[s], "anchored at", aligned.calendar[t],
+adj = dataset.adj_close
+print("first train example:", dataset.stocks[s], "anchored at", dataset.calendar[t],
       "label", train.labels[0], f"movement {adj[s, t + 1] / adj[s, t] - 1.0:+.4%}")
-window = gather_windows(splits.features, train.stock_idx[:1], train.anchor_idx[:1], spec.lag)[0]
+window = gather_windows(dataset.features, train.stock_idx[:1], train.anchor_idx[:1], spec.lag)[0]
 print(f"its window, {spec.lag} days x 11 features, oldest day first:")
 print(np.array2string(window, precision=4))

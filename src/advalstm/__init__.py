@@ -41,7 +41,7 @@ from .market_data import (
     MIN_HISTORY,
     PRICE_COLUMNS,
     AlignedData,
-    DatasetSplits,
+    DatasetArtifact,
     EodSeries,
     SplitArrays,
     SplitSpec,

@@ -12,21 +12,20 @@ repr() so values round-trip exactly.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import hashlib
 import json
 import math
 import struct
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArtifactMismatchError, ContractError
+from .errors import ArtifactMismatchError
 from .evaluation import HistogramReport
-from .market_data import (FEATURE_DIM, SPLIT_NAMES, DatasetSplits, SplitArrays, SplitSpec,
+from .market_data import (FEATURE_DIM, SPLIT_NAMES, DatasetArtifact, SplitArrays, SplitSpec,
                           _parse_date, gather_windows)
 from .model import ModelDims, PARAM_FIELDS, ParamSet, param_shapes
 
@@ -185,63 +184,26 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, ModelDims, dict]:
 # ------------------------------------------------------------------ dataset
 
 
-@dataclass
-class DatasetArtifact:
-    """In-memory view of a stored dataset: splits, feature panel and prices."""
-
-    splits: DatasetSplits
-    stocks: list[str]
-    calendar: list[dt.date]
-    adj_close: np.ndarray   # (n_stocks, n_days)
-    meta: dict
-
-    @property
-    def lag(self) -> int:
-        return self.meta["lag"]
-
-    def arrays(self, split: str, lag: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Model-ready (windows, float labels) of one split, gathered from the panel.
-
-        A window of any ``lag`` up to the dataset's ends on the same
-        anchor day, so every lag sees the same anchors and labels.
-        """
-        lag = self.lag if lag is None else lag
-        if lag < 1:
-            raise ContractError(f"lag must be >= 1, got {lag}")
-        if lag > self.lag:
-            raise ArtifactMismatchError(
-                f"lag {lag} is deeper than the dataset's lag {self.lag}; "
-                f"rebuild with data.lag >= {lag}"
-            )
-        data: SplitArrays = getattr(self.splits, split)
-        return (gather_windows(self.splits.features, data.stock_idx, data.anchor_idx, lag),
-                data.labels.astype(np.float64))
-
-
-def save_dataset(
-    path: str | Path,
-    splits: DatasetSplits,
-    spec: SplitSpec,
-    stocks: Sequence[str],
-    calendar: Sequence[dt.date],
-    adj_close: np.ndarray,
-    dropped: Sequence[str] = (),
-) -> None:
+def save_dataset(path: str | Path, dataset: DatasetArtifact, spec: SplitSpec,
+                 dropped: Sequence[str] = ()) -> None:
+    """Write ``dataset``; the header also records the split dates and
+    thresholds of ``spec`` and the stocks that alignment ``dropped``."""
     meta = {
         "kind": "dataset",
-        "lag": spec.lag,
+        "lag": dataset.lag,
         "train_end": spec.train_end.isoformat(),
         "val_end": spec.val_end.isoformat(),
         "test_end": spec.test_end.isoformat(),
         "pos_threshold": spec.pos_threshold,
         "neg_threshold": spec.neg_threshold,
-        "stocks": list(stocks),
+        "stocks": list(dataset.stocks),
         "dropped": list(dropped),
-        "calendar": [d.isoformat() for d in calendar],
+        "calendar": [d.isoformat() for d in dataset.calendar],
     }
-    tensors = {f"{split}_{f.name}": getattr(getattr(splits, split), f.name)
+    tensors = {f"{split}_{f.name}": getattr(getattr(dataset, split), f.name)
                for split in SPLIT_NAMES for f in fields(SplitArrays)}
-    tensors.update(adj_close=np.asarray(adj_close, dtype=np.float64), features=splits.features)
+    tensors.update(adj_close=np.asarray(dataset.adj_close, dtype=np.float64),
+                   features=dataset.features)
     write_container(path, meta, tensors)
 
 
@@ -270,11 +232,11 @@ def load_dataset(path: str | Path) -> DatasetArtifact:
     try:
         stocks, lag = meta["stocks"], meta["lag"]
         calendar = [_parse_date(s) for s in meta["calendar"]]
-        adj_close = tensors["adj_close"]
-        splits = DatasetSplits(**{
+        adj_close, features = tensors["adj_close"], tensors["features"]
+        splits = {
             split: SplitArrays(**{f.name: tensors[f"{split}_{f.name}"] for f in fields(SplitArrays)})
             for split in SPLIT_NAMES
-        }, features=tensors["features"])
+        }
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ArtifactMismatchError(f"{path}: incomplete dataset: {exc!r}; "
                                     "rerun `advalstm build` to rewrite it") from exc
@@ -290,15 +252,14 @@ def load_dataset(path: str | Path) -> DatasetArtifact:
         raise ArtifactMismatchError(f"{path}: adj_close does not match stocks x calendar")
     if adj_close.dtype.kind != "f" or not np.all((adj_close > 0) & (adj_close <= sys.float_info.max)):
         raise ArtifactMismatchError(f"{path}: adj_close must be finite and > 0, in a floating dtype")
-    features = splits.features
     if (features.dtype.kind != "f" or features.ndim != 3 or features.shape[1] > len(calendar)
             or features.shape[::2] != (len(stocks), FEATURE_DIM)):
         raise ArtifactMismatchError(f"{path}: features must be floating, stocks x at most "
                                     f"the calendar's days x {FEATURE_DIM}")
     finite = np.isfinite(features).all(axis=2)
     for split in SPLIT_NAMES:
-        _check_split(path, split, getattr(splits, split), lag, len(stocks), finite)
-    return DatasetArtifact(splits, stocks, calendar, adj_close, meta)
+        _check_split(path, split, splits[split], lag, len(stocks), finite)
+    return DatasetArtifact(stocks, calendar, adj_close, features, lag, **splits)
 
 
 # -------------------------------------------------------------- CSV reports

@@ -86,21 +86,13 @@ def cmd_build(args) -> int:
 
     series = ingest_eod(config.data_path)
     aligned = align_trading_days(series, min_coverage=config.min_coverage)
-    splits = label_and_window(aligned, spec)
+    dataset = label_and_window(aligned, spec)
 
     dataset_path = out / DATASET_FILE
-    artifacts.save_dataset(
-        dataset_path,
-        splits,
-        spec,
-        stocks=aligned.stocks,
-        calendar=aligned.calendar,
-        adj_close=aligned.adj_close,
-        dropped=aligned.dropped,
-    )
+    artifacts.save_dataset(dataset_path, dataset, spec, dropped=aligned.dropped)
     sha = artifacts.file_sha256(dataset_path)
-    counts = splits.counts()
-    balance = splits.positive_fraction()
+    counts = dataset.counts()
+    balance = dataset.positive_fraction()
     artifacts.write_json(
         out / "build_manifest.json",
         {
@@ -108,7 +100,7 @@ def cmd_build(args) -> int:
             "dataset_sha256": sha,
             "split_sizes": counts,
             "positive_fraction": balance,
-            "stocks": aligned.stocks,
+            "stocks": dataset.stocks,
             "dropped": aligned.dropped,
         },
     )
@@ -177,9 +169,11 @@ def cmd_grid(args) -> int:
     grid = config.grid_spec()
 
     # Each cell gathers its windows when it starts, in the process that runs it,
-    # so the grid holds one lag's windows at a time.  The deepest lag is checked
-    # here, so that it fails before any training.
+    # so the grid holds one lag's windows at a time.  The deepest lag and the
+    # validation split every cell is scored on are checked here, before any training.
     dataset.arrays("val", max(grid.lags))
+    if not len(dataset.val):
+        raise ContractError("validation split is empty; grid scores every cell on it")
 
     def data_for_lag(lag: int):
         return (*dataset.arrays("train", lag), *dataset.arrays("val", lag))
@@ -244,7 +238,7 @@ def cmd_eval(args) -> int:
     config, out, dataset, params, _, x_test, y_test = _load_scoring_inputs(args)
     yhat = predict(x_test, params)
     pred = classify(yhat)
-    test = dataset.splits.test
+    test = dataset.test
     indicators = config.indicator_config()
     test_rows = (dataset.adj_close, test.stock_idx, test.anchor_idx)
     mom_pred = baselines.mom_predict(*test_rows, indicators.mom_window)

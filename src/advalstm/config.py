@@ -238,22 +238,13 @@ def load_config(path: str | Path) -> RunConfig:
 
 def dump_config(config: RunConfig) -> str:
     """Render a RunConfig back to the key=value format (stable order)."""
-    lines = []
-    for f in fields(RunConfig):
-        key = _ATTR_TO_KEY[f.name]
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            rendered = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            rendered = repr(value)
-        elif isinstance(value, dt.date):
-            rendered = value.isoformat()
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
+    def text(value) -> str:
+        return repr(value) if isinstance(value, float) else str(value)
+
+    return "".join(
+        f"{key} = {','.join(map(text, value)) if isinstance(value, list) else text(value)}\n"
+        for key, value in config_as_dict(config).items() if value is not None
+    )
 
 
 def config_as_dict(config: RunConfig) -> dict:

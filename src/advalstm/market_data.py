@@ -6,7 +6,8 @@ date ordinals and prices per stock), trading-day alignment (intersection
 calendar across stocks, stored as one dense (stocks, days, price column)
 panel), feature computation (11 price ratios for every stock-day of the
 panel at once), and labeling (next-day movement labels of anchor days in
-temporal train/val/test splits; ``gather_windows`` reads their windows).
+temporal train/val/test splits, held with the feature panel in one
+DatasetArtifact, whose ``arrays`` gathers their windows).
 
 All prices are taken as given; adjusted close is used for movement
 labels and moving averages, raw close for the close-to-close return.
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import (
     AlignmentError,
+    ArtifactMismatchError,
     ContractError,
     DataError,
     EmptySplitWarning,
@@ -147,11 +149,19 @@ class SplitArrays:
 
 
 @dataclass(frozen=True)
-class DatasetSplits:
+class DatasetArtifact:
+    """One labeled dataset, as ``label_and_window`` builds it and
+    ``load_dataset`` reads it back: the splits, the feature panel their
+    windows are gathered from, and the prices the baselines read."""
+
+    stocks: list[str]       # sorted
+    calendar: list[dt.date]
+    adj_close: np.ndarray   # (n_stocks, n_days) float64
+    features: np.ndarray    # (n_stocks, last anchor + 1, FEATURE_DIM) float64
+    lag: int
     train: SplitArrays
     val: SplitArrays
     test: SplitArrays
-    features: np.ndarray  # (n_stocks, last anchor + 1, FEATURE_DIM) float64
 
     def counts(self) -> dict[str, int]:
         return {name: len(getattr(self, name)) for name in SPLIT_NAMES}
@@ -162,6 +172,24 @@ class DatasetSplits:
             labels = getattr(self, name).labels
             out[name] = int(np.count_nonzero(labels > 0)) / labels.size if labels.size else None
         return out
+
+    def arrays(self, split: str, lag: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Model-ready (windows, float labels) of one split, gathered from the panel.
+
+        A window of any ``lag`` up to the dataset's ends on the same
+        anchor day, so every lag sees the same anchors and labels.
+        """
+        lag = self.lag if lag is None else lag
+        if lag < 1:
+            raise ContractError(f"lag must be >= 1, got {lag}")
+        if lag > self.lag:
+            raise ArtifactMismatchError(
+                f"lag {lag} is deeper than the dataset's lag {self.lag}; "
+                f"rebuild with data.lag >= {lag}"
+            )
+        data: SplitArrays = getattr(self, split)
+        return (gather_windows(self.features, data.stock_idx, data.anchor_idx, lag),
+                data.labels.astype(np.float64))
 
 
 def _parse_date(cell) -> dt.date:
@@ -389,8 +417,7 @@ def gather_windows(features: np.ndarray, stock_idx: np.ndarray, anchor_idx: np.n
     return features[stock_idx[:, None], anchor_idx[:, None] + np.arange(1 - lag, 1)]
 
 
-@np.errstate(over="ignore")
-def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
+def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetArtifact:
     """Label anchor days and assign them to splits.
 
     The movement percent of an anchor day is the next trading day's
@@ -404,7 +431,8 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
     finite = np.isfinite(feats).all(axis=2)
     adj = aligned.adj_close
     anchors = np.arange(MIN_HISTORY - 1 + spec.lag - 1, len(aligned.calendar) - 1)
-    movement = adj[:, anchors + 1] / adj[:, anchors] - 1.0
+    with np.errstate(over="ignore"):
+        movement = adj[:, anchors + 1] / adj[:, anchors] - 1.0
     labels = np.where(movement >= spec.pos_threshold, 1,
                       np.where(movement <= spec.neg_threshold, -1, 0)).astype(np.int8)
     bounds = [d.toordinal() for d in (spec.train_end, spec.val_end, spec.test_end)]
@@ -430,4 +458,5 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetSplits:
                           stacklevel=2)
         splits[name] = SplitArrays(labels[stock, a], stock.astype(np.int32), t.astype(np.int32))
     end = max((int(s.anchor_idx.max()) + 1 for s in splits.values() if len(s)), default=0)
-    return DatasetSplits(**splits, features=feats[:, :end])
+    return DatasetArtifact(aligned.stocks, aligned.calendar, adj, feats[:, :end], spec.lag,
+                           **splits)

@@ -59,6 +59,9 @@ MODES = ("normal", "adversarial", "random_perturbation")
 # no adversarial example is generated.
 GRAD_NORM_FLOOR = 1e-12
 
+# Adam's moment decay rates and denominator floor, as Kingma & Ba (2015) set them.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -321,9 +324,6 @@ def adam_step(
     grads: ParamSet,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[ParamSet, AdamState]:
     """One bias-corrected Adam update of ``params.flat``, ``state.m`` and
     ``state.v``, in place; returns the same params and state."""
@@ -331,11 +331,11 @@ def adam_step(
     if m.shape != p.shape or v.shape != p.shape or g.shape != p.shape:
         raise ShapeError("Adam state/gradient shapes do not match the parameters")
     state.step += 1
-    m[...] = beta1 * m + (1.0 - beta1) * g
-    v[...] = beta2 * v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**state.step)
-    v_hat = v / (1.0 - beta2**state.step)
-    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**state.step)
+    v_hat = v / (1.0 - ADAM_BETA2**state.step)
+    p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 

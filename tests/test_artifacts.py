@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 import re
@@ -28,8 +29,8 @@ from advalstm.artifacts import (
 from advalstm.errors import ArtifactMismatchError, EmptySplitWarning
 from advalstm.evaluation import confidence_histogram
 from advalstm.gridsearch import GridCell
-from advalstm.market_data import (SPLIT_NAMES, SplitSpec, align_trading_days, ingest_eod,
-                                  label_and_window)
+from advalstm.market_data import (SPLIT_NAMES, DatasetArtifact, SplitArrays, SplitSpec,
+                                  align_trading_days, ingest_eod, label_and_window)
 from advalstm.model import ModelDims, init_params
 from advalstm.synthetic import write_regime_price_csv
 from advalstm.training import EpochRecord
@@ -223,42 +224,44 @@ def small_dataset():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySplitWarning)
-        splits = label_and_window(aligned, spec)
-    return splits, spec, aligned.stocks, aligned.calendar, aligned.adj_close
+        dataset = label_and_window(aligned, spec)
+    return dataset, spec
+
+
+def assert_same_array(got, expected):
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
 
 
 class TestDataset:
     def test_round_trip(self, tmp_path):
-        splits, spec, stocks, calendar, adj = small_dataset()
+        built, spec = small_dataset()
         path = tmp_path / "d.bin"
-        save_dataset(path, splits, spec, stocks, calendar, adj, dropped=["Z"])
+        save_dataset(path, built, spec, dropped=["Z"])
         ds = load_dataset(path)
-        assert ds.stocks == stocks
-        assert ds.calendar == calendar
-        assert ds.meta["dropped"] == ["Z"]
+        # every field, so that a field added later is saved and loaded too
+        for f in dataclasses.fields(DatasetArtifact):
+            got, expected = getattr(ds, f.name), getattr(built, f.name)
+            if isinstance(expected, np.ndarray):
+                assert_same_array(got, expected)
+            elif isinstance(expected, SplitArrays):
+                for g in dataclasses.fields(SplitArrays):
+                    assert_same_array(getattr(got, g.name), getattr(expected, g.name))
+            else:
+                assert type(got) is type(expected) and got == expected, f.name
+        assert read_container(path)[0]["dropped"] == ["Z"]
         assert ds.lag == 3
-        np.testing.assert_array_equal(ds.adj_close, adj)
-        assert ds.splits.features.dtype == splits.features.dtype
-        np.testing.assert_array_equal(ds.splits.features, splits.features)
         # the first 29 days read by no window are NaN, and load accepts them
-        assert np.isnan(ds.splits.features[:, :29]).all()
-        for split in ("train", "val", "test"):
-            orig = getattr(splits, split)
-            got = getattr(ds.splits, split)
-            assert len(orig) == len(got)
-            for name in ("stock_idx", "anchor_idx", "labels"):
-                a, b = getattr(orig, name), getattr(got, name)
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+        assert np.isnan(ds.features[:, :29]).all()
         # anchor indices point at calendar dates inside the test split
-        for t in ds.splits.test.anchor_idx:
+        for t in ds.test.anchor_idx:
             assert spec.val_end <= ds.calendar[t] < spec.test_end
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        splits, spec, stocks, calendar, adj = small_dataset()
+        dataset, spec = small_dataset()
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_dataset(a, splits, spec, stocks, calendar, adj)
-        save_dataset(b, splits, spec, stocks, calendar, adj)
+        save_dataset(a, dataset, spec)
+        save_dataset(b, dataset, spec)
         assert a.read_bytes() == b.read_bytes()
 
     def test_kind_checked(self, tmp_path, small_dims):
@@ -277,9 +280,9 @@ class TestDataset:
          ("anchor_idx", 1), ("anchor_idx", 59)],
     )
     def test_index_out_of_range_rejected(self, tmp_path, name, value):
-        splits, spec, stocks, calendar, adj = small_dataset()
+        dataset, spec = small_dataset()
         path = tmp_path / "d.bin"
-        save_dataset(path, splits, spec, stocks, calendar, adj)
+        save_dataset(path, dataset, spec)
         meta, tensors = read_container(path)
         tensors[f"test_{name}"][0] = value
         write_container(path, meta, tensors)
@@ -288,9 +291,9 @@ class TestDataset:
 
     @pytest.mark.parametrize("split, value", [("train", np.nan), ("test", np.inf)])
     def test_non_finite_window_rejected(self, tmp_path, split, value):
-        splits, spec, stocks, calendar, adj = small_dataset()
+        dataset, spec = small_dataset()
         path = tmp_path / "d.bin"
-        save_dataset(path, splits, spec, stocks, calendar, adj)
+        save_dataset(path, dataset, spec)
         meta, tensors = read_container(path)
         # the oldest day of the split's last window
         stock, anchor = tensors[f"{split}_stock_idx"][-1], tensors[f"{split}_anchor_idx"][-1]
@@ -301,9 +304,9 @@ class TestDataset:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -2.0])
     def test_adj_close_must_be_finite_and_positive(self, tmp_path, value):
-        splits, spec, stocks, calendar, adj = small_dataset()
+        dataset, spec = small_dataset()
         path = tmp_path / "d.bin"
-        save_dataset(path, splits, spec, stocks, calendar, adj)
+        save_dataset(path, dataset, spec)
         meta, tensors = read_container(path)
         tensors["adj_close"][1, 7] = value
         write_container(path, meta, tensors)
@@ -322,9 +325,9 @@ class TestDataset:
     def test_dtype_kind_checked(self, tmp_path, name, dtype, message):
         # In-range values of the wrong kind: a float index array would pass
         # every range check and then fail as an index.
-        splits, spec, stocks, calendar, adj = small_dataset()
+        dataset, spec = small_dataset()
         path = tmp_path / "d.bin"
-        save_dataset(path, splits, spec, stocks, calendar, adj)
+        save_dataset(path, dataset, spec)
         meta, tensors = read_container(path)
         tensors[name] = np.ceil(np.nan_to_num(tensors[name])).astype(dtype)
         write_container(path, meta, tensors)
@@ -338,9 +341,9 @@ class TestDataset:
             load_dataset(path)
 
     def test_inconsistent_sizes_rejected(self, tmp_path):
-        splits, spec, stocks, calendar, adj = small_dataset()
+        dataset, spec = small_dataset()
         path = tmp_path / "d.bin"
-        save_dataset(path, splits, spec, stocks, calendar, adj)
+        save_dataset(path, dataset, spec)
         meta, tensors = read_container(path)
         tensors["val_labels"] = tensors["val_labels"][:-1]
         write_container(path, meta, tensors)
@@ -350,9 +353,9 @@ class TestDataset:
     @pytest.mark.parametrize("shape", [(3, 59, 11), (2, 61, 11), (2, 59, 10), (2, 59)],
                              ids=["stocks", "days", "feat_dim", "two_axes"])
     def test_feature_panel_shape_checked(self, tmp_path, shape):
-        splits, spec, stocks, calendar, adj = small_dataset()
+        dataset, spec = small_dataset()
         path = tmp_path / "d.bin"
-        save_dataset(path, splits, spec, stocks, calendar, adj)
+        save_dataset(path, dataset, spec)
         meta, tensors = read_container(path)
         tensors["features"] = np.zeros(shape)
         write_container(path, meta, tensors)
@@ -365,12 +368,11 @@ class TestDataset:
         aligned = align_trading_days(ingest_eod(tmp_path / "prices"))
         spec = SplitSpec(train_end=dt.date(2020, 2, 20), val_end=dt.date(2020, 3, 5),
                          test_end=dt.date(2020, 3, 20), lag=5)
-        splits = label_and_window(aligned, spec)
         path = tmp_path / "d.bin"
-        save_dataset(path, splits, spec, aligned.stocks, aligned.calendar, aligned.adj_close)
+        save_dataset(path, label_and_window(aligned, spec), spec)
         ds = load_dataset(path)
         for split in SPLIT_NAMES:
-            data = getattr(ds.splits, split)
+            data = getattr(ds, split)
             assert len(data)
             for lag in range(1, spec.lag + 1):
                 x, y = ds.arrays(split, lag)
@@ -384,9 +386,9 @@ class TestDataset:
                 ds.arrays(split, spec.lag + 1)
 
     def test_arrays_slice_to_a_shorter_lag(self, tmp_path):
-        splits, spec, stocks, calendar, adj = small_dataset()
+        dataset, spec = small_dataset()
         path = tmp_path / "d.bin"
-        save_dataset(path, splits, spec, stocks, calendar, adj)
+        save_dataset(path, dataset, spec)
         ds = load_dataset(path)
         x3, y3 = ds.arrays("train")
         x2, y2 = ds.arrays("train", 2)

@@ -19,13 +19,16 @@ from advalstm import gridsearch
 from advalstm.artifacts import (
     MAGIC,
     load_checkpoint,
+    load_dataset,
     read_container,
     save_checkpoint,
+    save_dataset,
     write_container,
 )
 from advalstm.cli import main
 from advalstm.config import dump_config, load_config
 from advalstm.errors import DivergenceError
+from advalstm.market_data import SplitArrays
 from advalstm.model import init_params
 from advalstm.synthetic import write_regime_price_csv
 
@@ -522,6 +525,33 @@ class TestGrid:
         )
         assert run("grid", "--config", str(grid_cfg)) == 4
         assert "lag 10 is deeper than the dataset's lag" in capsys.readouterr().err
+        assert trained == []
+        assert not (out / "grid_results.csv").exists()
+
+    def test_empty_validation_split_exits_2_before_training(self, price_dir, built, monkeypatch,
+                                                            capsys):
+        cfg, out, base = built
+        dataset = load_dataset(out / "dataset.bin")
+        empty = SplitArrays(*(getattr(dataset.val, f.name)[:0]
+                              for f in dataclasses.fields(SplitArrays)))
+        save_dataset(out / "dataset.bin", dataclasses.replace(dataset, val=empty),
+                     load_config(cfg).split_spec())
+        trained = []
+        real_train = gridsearch.train
+
+        def counting_train(*args, **kwargs):
+            trained.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(gridsearch, "train", counting_train)
+        grid_cfg = write_config(
+            base / "g2.cfg", price_dir, out,
+            **{"grid.lags": "2", "grid.hidden_sizes": "4",
+               "grid.l2_coefs": "0.01", "grid.adv_weights": "0.01",
+               "grid.adv_scales": "0.05", "grid.epochs": "1"},
+        )
+        assert run("grid", "--config", str(grid_cfg)) == 2
+        assert "validation split is empty" in capsys.readouterr().err
         assert trained == []
         assert not (out / "grid_results.csv").exists()
 

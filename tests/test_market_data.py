@@ -508,6 +508,13 @@ class TestStack:
         x, y = gather_windows(splits.features, train.stock_idx, train.anchor_idx, 2), train.labels
         assert x.shape[0] == 0 and y.shape == (0,)
 
+    def test_empty_split_warning_names_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            label_and_window(align_trading_days({"A": flat_series(60)}), make_spec(lag=2))
+        empty = [w for w in caught if issubclass(w.category, EmptySplitWarning)]
+        assert empty and all(w.filename == __file__ for w in empty)
+
 
 def random_series(seed, n_days=60):
     """A stock whose open/high/low/close/adj_close all differ from day to day."""
