@@ -114,7 +114,7 @@ def cmd_build(args) -> int:
 
 
 def _train_once(config: RunConfig, dataset, out: Path, dataset_sha: str) -> None:
-    x_train, y_train = dataset.arrays("train", config.lag)
+    x_train, y_train = dataset.windows("train", config.lag)
     x_val, y_val = dataset.arrays("val", config.lag)
     dims = config.model_dims()
     train_config = config.train_config()
@@ -168,15 +168,16 @@ def cmd_grid(args) -> int:
     dataset = artifacts.load_dataset(dataset_path)
     grid = config.grid_spec()
 
-    # Each cell gathers its windows when it starts, in the process that runs it,
-    # so the grid holds one lag's windows at a time.  The deepest lag and the
-    # validation split every cell is scored on are checked here, before any training.
-    dataset.arrays("val", max(grid.lags))
+    # Each cell gathers its validation windows when it starts and its train
+    # windows a minibatch at a time, in the process that runs it.  The deepest
+    # lag and the validation split every cell is scored on are checked here,
+    # before any training.
+    dataset.windows("val", max(grid.lags))
     if not len(dataset.val):
         raise ContractError("validation split is empty; grid scores every cell on it")
 
     def data_for_lag(lag: int):
-        return (*dataset.arrays("train", lag), *dataset.arrays("val", lag))
+        return (*dataset.windows("train", lag), *dataset.arrays("val", lag))
 
     base = dataclasses.replace(config.train_config(), epochs=config.grid_epochs)
     # One process per usable CPU (taskset bounds it); no output byte depends on it.

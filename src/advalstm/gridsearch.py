@@ -21,7 +21,8 @@ from .evaluation import accuracy, mcc
 from .model import ModelDims, classify
 from .training import TrainConfig, train
 
-# (x_train, y_train, x_val, y_val) for a given lag
+# (x_train, y_train, x_val, y_val) for a given lag; x_train may be anything
+# train() takes, such as a market_data.Windows
 DataForLag = Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -77,7 +78,7 @@ def _evaluate_cell(data_for_lag: DataForLag, base: TrainConfig, cell: GridCell) 
     """Train ``cell`` in ``base.mode`` and score it on the validation split."""
     x_train, y_train, x_val, y_val = data_for_lag(cell.lag)
     u = cell.hidden_size
-    dims = ModelDims(feat_dim=x_train.shape[-1], map_size=u, hidden_size=u, att_size=u)
+    dims = ModelDims(feat_dim=x_val.shape[-1], map_size=u, hidden_size=u, att_size=u)
     config = replace(base, l2_coef=cell.l2_coef, adv_weight=cell.adv_weight,
                      adv_scale=cell.adv_scale)
     result = train(x_train, y_train, x_val, y_val, dims, config)

@@ -7,7 +7,7 @@ calendar across stocks, stored as one dense (stocks, days, price column)
 panel), feature computation (11 price ratios for every stock-day of the
 panel at once), and labeling (next-day movement labels of anchor days in
 temporal train/val/test splits, held with the feature panel in one
-DatasetArtifact, whose ``arrays`` gathers their windows).
+DatasetArtifact, whose ``windows`` and ``arrays`` gather their windows).
 
 All prices are taken as given; adjusted close is used for movement
 labels and moving averages, raw close for the close-to-close return.
@@ -149,6 +149,26 @@ class SplitArrays:
 
 
 @dataclass(frozen=True)
+class Windows:
+    """The windows of one split at one lag, gathered from the feature
+    panel only when indexed: ``windows[rows]`` is the ndarray of the
+    selected rows' windows (see ``gather_windows``), ``windows[:]`` all of
+    them.  ``train`` takes it as ``x_train`` and gathers a minibatch a step."""
+
+    features: np.ndarray    # (n_stocks, days, FEATURE_DIM) float64
+    stock_idx: np.ndarray   # (n,) position in the sorted stock list
+    anchor_idx: np.ndarray  # (n,) calendar index of the anchor day
+    lag: int
+
+    def __len__(self) -> int:
+        return int(self.stock_idx.shape[0])
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return gather_windows(self.features, self.stock_idx[rows], self.anchor_idx[rows],
+                              self.lag)
+
+
+@dataclass(frozen=True)
 class DatasetArtifact:
     """One labeled dataset, as ``label_and_window`` builds it and
     ``load_dataset`` reads it back: the splits, the feature panel their
@@ -173,8 +193,8 @@ class DatasetArtifact:
             out[name] = int(np.count_nonzero(labels > 0)) / labels.size if labels.size else None
         return out
 
-    def arrays(self, split: str, lag: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Model-ready (windows, float labels) of one split, gathered from the panel.
+    def windows(self, split: str, lag: int | None = None) -> tuple[Windows, np.ndarray]:
+        """The (windows, float labels) of one split, with the windows left in the panel.
 
         A window of any ``lag`` up to the dataset's ends on the same
         anchor day, so every lag sees the same anchors and labels.
@@ -188,8 +208,13 @@ class DatasetArtifact:
                 f"rebuild with data.lag >= {lag}"
             )
         data: SplitArrays = getattr(self, split)
-        return (gather_windows(self.features, data.stock_idx, data.anchor_idx, lag),
+        return (Windows(self.features, data.stock_idx, data.anchor_idx, lag),
                 data.labels.astype(np.float64))
+
+    def arrays(self, split: str, lag: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Model-ready (windows, float labels) of one split, every window gathered."""
+        x, y = self.windows(split, lag)
+        return x[:], y
 
 
 def _parse_date(cell) -> dt.date:
@@ -413,8 +438,13 @@ def compute_features(prices: np.ndarray) -> np.ndarray:
 def gather_windows(features: np.ndarray, stock_idx: np.ndarray, anchor_idx: np.ndarray,
                    lag: int) -> np.ndarray:
     """``out[i, j]`` is ``features[stock_idx[i], anchor_idx[i] - lag + 1 + j]``: the
-    windows end on their anchors.  A day index below 0 wraps to the panel's end."""
-    return features[stock_idx[:, None], anchor_idx[:, None] + np.arange(1 - lag, 1)]
+    windows end on their anchors.  The rows are taken from the panel flattened
+    to (stocks * days, ...), so a day index below 0 reads the previous stock's
+    last days (the panel's last, for stock 0); callers keep every anchor at
+    ``lag - 1`` or later."""
+    first = stock_idx.astype(np.intp) * features.shape[1] + anchor_idx
+    return np.take(features.reshape(-1, *features.shape[2:]),
+                   first[:, None] + np.arange(1 - lag, 1), axis=0)
 
 
 def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetArtifact:
@@ -427,8 +457,6 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetArtifact:
     warning.  Raises DataError when a window reads a non-finite feature
     or a row's movement is non-finite, which extreme ratios overflow to.
     """
-    feats = compute_features(aligned.prices)
-    finite = np.isfinite(feats).all(axis=2)
     adj = aligned.adj_close
     anchors = np.arange(MIN_HISTORY - 1 + spec.lag - 1, len(aligned.calendar) - 1)
     with np.errstate(over="ignore"):
@@ -439,9 +467,14 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetArtifact:
     # 0 train, 1 val, 2 test, 3 past the test end (half-open intervals)
     bucket = np.searchsorted(bounds, [aligned.calendar[t].toordinal() for t in anchors],
                              side="right")
+    rows = [np.nonzero((bucket == b) & (labels != 0)) for b in range(len(SPLIT_NAMES))]
+    end = max((int(anchors[a].max()) + 1 for _, a in rows if a.size), default=0)
+    # A day's features read only that day and earlier ones, so the panel can
+    # stop at the last anchor; computed on that many days, it is contiguous.
+    feats = compute_features(aligned.prices[:, :end])
+    finite = np.isfinite(feats).all(axis=2)
     splits = {}
-    for b, name in enumerate(SPLIT_NAMES):
-        stock, a = np.nonzero((bucket == b) & (labels != 0))
+    for name, (stock, a) in zip(SPLIT_NAMES, rows):
         t = anchors[a]
         bad = ~gather_windows(finite, stock, t, spec.lag)
         if bad.any():
@@ -457,6 +490,4 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetArtifact:
             warnings.warn(f"split {name!r} has no retained examples", EmptySplitWarning,
                           stacklevel=2)
         splits[name] = SplitArrays(labels[stock, a], stock.astype(np.int32), t.astype(np.int32))
-    end = max((int(s.anchor_idx.max()) + 1 for s in splits.values() if len(s)), default=0)
-    return DatasetArtifact(aligned.stocks, aligned.calendar, adj, feats[:, :end], spec.lag,
-                           **splits)
+    return DatasetArtifact(aligned.stocks, aligned.calendar, adj, feats, spec.lag, **splits)

@@ -380,6 +380,10 @@ def train(
 ) -> TrainResult:
     """Seeded mini-batch training with best-validation-accuracy selection.
 
+    ``x_train`` is read only through ``len(x_train)`` and ``x_train[idx]``
+    with an index array, once per step, so it is an ndarray of windows or a
+    ``market_data.Windows``, which gathers each minibatch from the panel.
+
     Shuffling, initialization, and random perturbations all draw from
     one generator seeded by ``config.seed``, so identical inputs and
     seeds reproduce identical checkpoints.  Epochs end early after

@@ -399,6 +399,23 @@ class TestDataset:
         with pytest.raises(ArtifactMismatchError, match="deeper than the dataset's lag 3"):
             ds.arrays("train", 4)
 
+    def test_windows_index_like_the_gathered_arrays(self, tmp_path):
+        dataset, spec = small_dataset()
+        path = tmp_path / "d.bin"
+        save_dataset(path, dataset, spec)
+        ds = load_dataset(path)
+        for lag in (spec.lag, 2):
+            windows, y = ds.windows("train", lag)
+            x, y_all = ds.arrays("train", lag)
+            assert len(windows) == len(x) > 3
+            assert_same_array(y, y_all)
+            for rows in (np.array([3, 0, 3, len(x) - 1]), slice(1, 3), slice(None)):
+                got = windows[rows]
+                assert got.shape == x[rows].shape and got.dtype == x.dtype
+                assert got.tobytes() == x[rows].tobytes()
+        with pytest.raises(ArtifactMismatchError, match="deeper than the dataset's lag 3"):
+            ds.windows("train", 4)
+
 
 class TestCsv:
     def test_loss_curves(self, tmp_path):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import advalstm
-from advalstm import gridsearch
+from advalstm import gridsearch, market_data
 from advalstm.artifacts import (
     MAGIC,
     load_checkpoint,
@@ -333,6 +333,28 @@ class TestTrain:
         assert run("train", "--config", str(cfg)) == 4
         assert message in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
+
+    def test_minibatches_are_gathered_one_at_a_time(self, price_dir, tmp_path, monkeypatch):
+        # No process holds the whole train split: each gather is one
+        # minibatch, or the validation split that every epoch scores.
+        out, batch = tmp_path / "out", 16
+        cfg = write_config(tmp_path / "run.cfg", price_dir, out, **{
+            "split.train_end": "2020-04-01", "split.val_end": "2020-04-15",
+            "train.batch_size": batch})
+        assert run("build", "--config", str(cfg)) == 0
+        dataset = load_dataset(out / "dataset.bin")
+        bound = max(batch, len(dataset.val))
+        assert len(dataset.train) > bound
+        sizes = []
+        real_gather = market_data.gather_windows
+
+        def recording_gather(features, stock_idx, anchor_idx, lag):
+            sizes.append(len(stock_idx))
+            return real_gather(features, stock_idx, anchor_idx, lag)
+
+        monkeypatch.setattr(market_data, "gather_windows", recording_gather)
+        assert run("train", "--config", str(cfg)) == 0
+        assert sizes and max(sizes) <= bound
 
     def test_seed_flag_overrides(self, built):
         cfg, out, _ = built

@@ -508,6 +508,24 @@ class TestStack:
         x, y = gather_windows(splits.features, train.stock_idx, train.anchor_idx, 2), train.labels
         assert x.shape[0] == 0 and y.shape == (0,)
 
+    @pytest.mark.parametrize("shape", [(4, 30), (4, 30, 3)])
+    def test_gather_equals_the_fancy_index(self, shape):
+        rng = np.random.default_rng(7)
+        panel, lag = rng.normal(size=shape), 6
+        stock = rng.integers(0, shape[0], 200).astype(np.int32)
+        anchor = rng.integers(lag - 1, shape[1], 200).astype(np.int32)
+        expected = panel[stock[:, None], anchor[:, None] + np.arange(1 - lag, 1)]
+        got = gather_windows(panel, stock, anchor, lag)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_feature_panel_is_contiguous_and_ends_on_the_last_anchor(self):
+        series = {"B": random_series(3), "A": random_series(4)}
+        dataset = label_and_window(align_trading_days(series), make_spec(lag=4))
+        last = max(int(getattr(dataset, name).anchor_idx.max()) for name in ("train", "val", "test"))
+        assert dataset.features.shape[1] == last + 1
+        assert dataset.features.flags.c_contiguous
+
     def test_empty_split_warning_names_the_caller(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

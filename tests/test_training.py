@@ -1,10 +1,13 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 
 from advalstm import training
 from advalstm.errors import ContractError, DivergenceError, ShapeError
+from advalstm.market_data import SplitSpec, align_trading_days, ingest_eod, label_and_window
 from advalstm.model import ModelDims, classify, forward, head_forward, init_params, predict
-from advalstm.synthetic import make_regime_examples
+from advalstm.synthetic import make_regime_examples, write_regime_price_csv
 from advalstm.training import (
     AdamState,
     TrainConfig,
@@ -723,3 +726,21 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train(np.zeros((0, 3, 11)), np.zeros(0), np.zeros((0, 3, 11)), np.zeros(0),
                   small_dims, TrainConfig(epochs=1))
+
+
+class TestTrainOnWindows:
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_same_bytes_as_the_gathered_split(self, tmp_path, small_dims, mode):
+        write_regime_price_csv(tmp_path, n_stocks=3, n_days=90, seed=4)
+        spec = SplitSpec(train_end=dt.date(2020, 2, 20), val_end=dt.date(2020, 3, 5),
+                         test_end=dt.date(2020, 3, 20), lag=5)
+        dataset = label_and_window(align_trading_days(ingest_eod(tmp_path)), spec)
+        config = TrainConfig(mode=mode, epochs=3, batch_size=16, seed=5, patience=0,
+                             adv_weight=0.5, adv_scale=0.05)
+        val = dataset.arrays("val", 3)
+        assert len(dataset.train) > config.batch_size and len(dataset.val)
+        lazy = train(*dataset.windows("train", 3), *val, small_dims, config)
+        eager = train(*dataset.arrays("train", 3), *val, small_dims, config)
+        assert lazy.params.flat.tobytes() == eager.params.flat.tobytes()
+        assert lazy.history == eager.history
+        assert lazy.val_yhat.tobytes() == eager.val_yhat.tobytes()
