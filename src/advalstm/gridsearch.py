@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product, starmap
 from typing import Callable
 
@@ -86,17 +87,52 @@ def _evaluate_cell(data_for_lag: DataForLag, base: TrainConfig, cell: GridCell) 
     return replace(cell, val_acc=accuracy(y_val, pred), val_mcc=mcc(y_val, pred))
 
 
-# The data_for_lag of a forked worker, set once by its initializer.
+# A forked child's data_for_lag, and the two ends of the stage's queue of
+# cells that it shares with the calling process, set once by its initializer.
 _worker_data: DataForLag | None = None
+_worker_ends = None
 
 
-def _init_worker(data_for_lag: DataForLag) -> None:
-    global _worker_data
-    _worker_data = data_for_lag
+def _init_worker(data_for_lag: DataForLag, ends) -> None:
+    global _worker_data, _worker_ends
+    _worker_data, _worker_ends = data_for_lag, ends
 
 
-def _evaluate_in_worker(base: TrainConfig, cell: GridCell) -> GridCell:
-    return _evaluate_cell(_worker_data, base, cell)
+def _claim(ends, cheap: bool) -> int | None:
+    """Take the queue position at one end of ``[ends[0], ends[1])``; None
+    once the ends have met."""
+    with ends.get_lock():
+        lo, hi = ends
+        if lo >= hi:
+            return None
+        if cheap:
+            ends[0] = lo + 1
+            return lo
+        ends[1] = hi - 1
+        return hi - 1
+
+
+def _drain(queue: list[GridCell], evaluate: Callable[[GridCell], GridCell], ends,
+           cheap: bool, first: int | None = None) -> dict[int, GridCell]:
+    """Score cells taken from one end of ``queue``, starting at ``first``
+    if given, until the ends meet; returns them by queue position.  A
+    raise closes the queue, so every other process stops after its
+    current cell."""
+    scored = {}
+    k = _claim(ends, cheap) if first is None else first
+    try:
+        while k is not None:
+            scored[k] = evaluate(queue[k])
+            k = _claim(ends, cheap)
+    except BaseException:
+        with ends.get_lock():
+            ends[0] = ends[1]
+        raise
+    return scored
+
+
+def _drain_in_worker(base: TrainConfig, queue: list[GridCell]) -> dict[int, GridCell]:
+    return _drain(queue, partial(_evaluate_cell, _worker_data, base), _worker_ends, cheap=False)
 
 
 def _evaluate_stage(
@@ -104,33 +140,47 @@ def _evaluate_stage(
     data_for_lag: DataForLag,
     base: TrainConfig,
     pool: Executor | None,
+    children: int,
+    ends,
     on_cell: Callable[[GridCell], None] | None,
 ) -> list[GridCell]:
     """Every cell of one stage, scored, in the order given.
 
-    With a pool, the children take every cell but the cheapest, largest
-    (hidden x lag) first.  This process walks from the cheap end and runs
-    each cell that has no future, or whose future it cancels before a
-    child starts it, so no CPU idles and this process scores at least one
-    cell per stage.
+    The cells queue up cheapest (hidden x lag) first.  Without a pool
+    this process scores them in that order.  With one, ``ends`` holds
+    the queue's two ends, shared with the pool's ``children`` forked
+    processes: this process claims the cheapest cell before any child
+    starts, then takes cells from the cheap end while each child takes
+    them from the expensive end, each as soon as it is free, until the
+    ends meet.  So no CPU idles while a cell is unclaimed, this process
+    scores at least one cell per stage, and the largest cells run in
+    the children.  ``on_cell`` runs here, once per cell.
     """
-    done: list[GridCell | None] = [None] * len(cells)
+    order = sorted(range(len(cells)), key=lambda i: cells[i].hidden_size * cells[i].lag)
+    queue = [cells[i] for i in order]
 
-    def finish(i: int, cell: GridCell) -> None:
-        done[i] = cell
+    def evaluate(cell: GridCell) -> GridCell:
+        cell = _evaluate_cell(data_for_lag, base, cell)
         if on_cell is not None:
             on_cell(cell)
+        return cell
 
-    order = sorted(range(len(cells)), key=lambda i: cells[i].hidden_size * cells[i].lag)
-    futures = {} if pool is None else {
-        i: pool.submit(_evaluate_in_worker, base, cells[i]) for i in reversed(order[1:])
-    }
-    for i in order:
-        if i not in futures or futures[i].cancel():
-            finish(i, _evaluate_cell(data_for_lag, base, cells[i]))
-    for i in sorted(futures):
-        if done[i] is None:
-            finish(i, futures[i].result())
+    if pool is None:
+        scored = dict(enumerate(map(evaluate, queue)))
+    else:
+        ends[:] = [1, len(queue)]  # this process holds queue[0]
+        futures = [pool.submit(_drain_in_worker, base, queue)
+                   for _ in range(min(children, len(queue) - 1))]
+        scored = _drain(queue, evaluate, ends, cheap=True, first=0)
+        for future in futures:
+            child_scored = future.result()
+            scored.update(child_scored)
+            if on_cell is not None:
+                for cell in child_scored.values():
+                    on_cell(cell)
+    done: list[GridCell | None] = [None] * len(cells)
+    for k, i in enumerate(order):
+        done[i] = scored[k]
     return done
 
 
@@ -147,32 +197,38 @@ def grid_search(
     ``data_for_lag`` supplies the train and validation arrays at each
     window length; stage one uses normal mode regardless of
     ``base_train.mode``, stage two uses adversarial mode.  ``workers``
-    counts the processes that train cells, this one included; the
-    others are forked, so they inherit ``data_for_lag`` instead of
-    receiving it pickled.
+    counts the processes that train cells, this one included.  The
+    others are forked once per call, so they inherit ``data_for_lag``
+    instead of receiving it pickled, and each stage shares its cells out
+    through one two-ended queue (see ``_evaluate_stage``).  The result
+    does not depend on ``workers``.
     """
     stage1_cells = list(starmap(GridCell, product(grid.hidden_sizes, grid.lags, grid.l2_coefs)))
     stage_sizes = (len(stage1_cells), len(grid.adv_weights) * len(grid.adv_scales))
-    children = min(workers, max(stage_sizes)) - 1  # this process runs a cell of each stage
-    pool = None
+    # Forked processes; this one scores cells too, and no stage has cells
+    # for more processes than it has cells.
+    children = min(workers, max(stage_sizes)) - 1
+    pool = ends = None
     if children > 0:
         # Imported here, so that no other command holds the pool's modules.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # Fork, whatever the platform default: a child inherits the data,
-        # the one-thread BLAS pin and the heap settings without importing
-        # or unpickling anything.
-        pool = ProcessPoolExecutor(children, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_init_worker, initargs=(data_for_lag,))
+        # the queue's shared ends, the one-thread BLAS pin and the heap
+        # settings without importing or unpickling anything.
+        fork = multiprocessing.get_context("fork")
+        ends = fork.Array("q", 2)
+        pool = ProcessPoolExecutor(children, mp_context=fork, initializer=_init_worker,
+                                   initargs=(data_for_lag, ends))
     try:
         stage1 = _evaluate_stage(stage1_cells, data_for_lag, replace(base_train, mode="normal"),
-                                 pool, on_cell)
+                                 pool, children, ends, on_cell)
         s1 = max(stage1, key=lambda c: (c.val_acc, -c.hidden_size, -c.lag, -c.l2_coef))
         cells = [replace(s1, adv_weight=b, adv_scale=e)
                  for b, e in product(grid.adv_weights, grid.adv_scales)]
         stage2 = _evaluate_stage(cells, data_for_lag, replace(base_train, mode="adversarial"),
-                                 pool, on_cell)
+                                 pool, children, ends, on_cell)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

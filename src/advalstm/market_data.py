@@ -457,7 +457,9 @@ def label_and_window(aligned: AlignedData, spec: SplitSpec) -> DatasetArtifact:
     warning.  Raises DataError when a window reads a non-finite feature
     or a row's movement is non-finite, which extreme ratios overflow to.
     """
-    adj = aligned.adj_close
+    # A contiguous copy: the strided view would be copied again by every
+    # gather from it, such as each baseline's.
+    adj = np.ascontiguousarray(aligned.adj_close)
     anchors = np.arange(MIN_HISTORY - 1 + spec.lag - 1, len(aligned.calendar) - 1)
     with np.errstate(over="ignore"):
         movement = adj[:, anchors + 1] / adj[:, anchors] - 1.0

@@ -21,7 +21,8 @@ a step is one stacked matrix product into it, one sigmoid over gates i, f, o
 and one tanh over g, each on a contiguous slice.
 
 Scoring and training use one BLAS call or one numpy ufunc per op: every
-dense projection is one 2-D matrix product over the flattened batch, the
+dense projection is one 2-D matrix product over the flattened batch, with
+its weight copied to a contiguous, untransposed operand once per call, the
 sigmoid is numpy's ``exp`` in place, and each batch sum of a gradient is
 one matrix-vector product.  Scoring (``predict``) runs ``forward`` on
 blocks of ``EVAL_ROWS`` windows along the leading axis, so its memory
@@ -192,8 +193,10 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _project(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``a @ w.T`` over the last axis as one 2-D BLAS call."""
-    return (a.reshape(-1, a.shape[-1]) @ w.T).reshape(*a.shape[:-1], w.shape[0])
+    """``a @ w.T`` over the last axis as one 2-D BLAS call, with ``w.T``
+    copied to a contiguous operand."""
+    w_t = np.ascontiguousarray(w.T)
+    return (a.reshape(-1, a.shape[-1]) @ w_t).reshape(*a.shape[:-1], w.shape[0])
 
 
 def map_forward(x: np.ndarray, params: ParamSet) -> np.ndarray:
@@ -219,7 +222,7 @@ def lstm_forward(m: np.ndarray, params: ParamSet) -> LstmTrace:
     gates = np.empty((steps, 4, *lead, u))
     c, tanh_c = np.empty((steps, *lead, u)), np.empty((steps, *lead, u))
     h = np.empty((*lead, steps, u))
-    w_t = params.w_gates.transpose(0, 2, 1)
+    w_t = np.ascontiguousarray(params.w_gates.transpose(0, 2, 1))
     b = params.b_gates.reshape(4, *[1] * len(lead), u)
     for t in range(steps):
         z[t, ..., e_map:] = h[..., t - 1, :] if t else 0.0
@@ -365,7 +368,13 @@ def backward(params: ParamSet, trace: ForwardTrace, d_yhat: np.ndarray) -> Param
 
         grads.w_gates += d_pre_rows.transpose(0, 2, 1) @ lt.z[t].reshape(rows, width)
         grads.b_gates += ones @ d_pre_rows
-        d_z = (d_pre_rows @ params.w_gates).sum(axis=0).reshape(*lead, width)
+        # One 2-D product per gate, summed in gate order: the bits of a
+        # stacked product summed over gates, without its (4, rows, width)
+        # temporary.
+        d_z = d_pre_rows[0] @ params.w_gates[0]
+        for k in range(1, 4):
+            d_z += d_pre_rows[k] @ params.w_gates[k]
+        d_z = d_z.reshape(*lead, width)
         d_m[..., t, :] = d_z[..., :e_map]
         d_h_next = d_z[..., e_map:]
         d_c_next = d_c * f

@@ -264,6 +264,17 @@ class TestDataset:
         save_dataset(b, dataset, spec)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_adj_close_is_contiguous_and_saves_the_same_bytes(self, tmp_path):
+        built, spec = small_dataset()
+        assert built.adj_close.flags.c_contiguous
+        # the same values as a strided view, as the price panel's column is
+        strided = np.empty((*built.adj_close.shape, 5))[..., 4]
+        strided[...] = built.adj_close
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_dataset(a, built, spec)
+        save_dataset(b, dataclasses.replace(built, adj_close=strided), spec)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_kind_checked(self, tmp_path, small_dims):
         p = tmp_path / "m.ckpt"
         params = init_params(small_dims, np.random.default_rng(0))

@@ -1,5 +1,6 @@
 import os
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -193,15 +194,15 @@ class TestSelectionRules:
         assert s2.val_acc == 70.0
 
 
-def pid_recording_search(monkeypatch, grid, **kwargs):
+def pid_recording_search(monkeypatch, grid, here_s=0.05, child_s=0.0, **kwargs):
     """Run grid_search with cells that record the pid that scored them in
-    val_mcc; a cell that the calling process runs takes 50 ms, so the
-    forked worker has time to start on its own cells."""
+    val_mcc; a cell that the calling process runs takes ``here_s`` (by
+    default 50 ms, so the forked worker has time to start on its own
+    cells) and one that a child runs ``child_s``."""
     parent = os.getpid()
 
     def fake_evaluate_cell(data_for_lag, base, cell):
-        if os.getpid() == parent:
-            time.sleep(0.05)
+        time.sleep(here_s if os.getpid() == parent else child_s)
         return replace(cell, val_acc=50.0, val_mcc=float(os.getpid()))
 
     monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
@@ -250,3 +251,65 @@ class TestWorkers:
         monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
         with pytest.raises(DivergenceError, match="in a worker"):
             grid_search(self.GRID, easy_data_for_lag, BASE, workers=2)
+
+    def test_a_child_takes_only_the_cells_it_starts(self, monkeypatch):
+        # This process works through the cheap end while the child's first
+        # cell runs, so the child's next claim finds the ends met.  A cell
+        # queued for a child before the child could start it would run there.
+        result = pid_recording_search(monkeypatch, self.GRID, here_s=0.02, child_s=0.3,
+                                      workers=2)
+        for stage in (result.cells[:9], result.cells[9:]):
+            assert sum(c.val_mcc != float(os.getpid()) for c in stage) == 1
+
+    def test_the_largest_cell_of_stage_one_runs_in_a_child(self, monkeypatch):
+        result = pid_recording_search(monkeypatch, self.GRID, workers=2)
+        largest = max(result.cells[:9], key=lambda c: c.hidden_size * c.lag)
+        assert largest.val_mcc != float(os.getpid())
+
+    def test_a_raise_here_stops_each_child_after_its_current_cell(self, monkeypatch, tmp_path):
+        parent = os.getpid()
+        log = tmp_path / "child_cells.txt"
+        ran_here, raised_at = [], []
+
+        def fake_evaluate_cell(data_for_lag, base, cell):
+            if os.getpid() != parent:
+                time.sleep(0.3)
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {time.monotonic()}\n")
+            elif ran_here:
+                raised_at.append(time.monotonic())
+                raise DivergenceError("second cell here")
+            else:
+                ran_here.append(cell)
+                time.sleep(0.02)
+            return replace(cell, val_acc=50.0, val_mcc=0.0)
+
+        monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
+        with pytest.raises(DivergenceError, match="second cell here"):
+            grid_search(self.GRID, easy_data_for_lag, BASE, workers=3)
+        finished = [line.split() for line in log.read_text().splitlines()]
+        after = Counter(pid for pid, t in finished if float(t) > raised_at[0])
+        assert after and max(after.values()) == 1
+
+    def test_every_cell_is_scored_once_under_contention(self, monkeypatch, tmp_path):
+        # Many short cells and six processes, more than a 2- or 4-CPU machine
+        # has, so the two ends are claimed under contention; a lost update
+        # scores a cell twice or never.
+        log = tmp_path / "cells.txt"
+
+        def fake_evaluate_cell(data_for_lag, base, cell):
+            with open(log, "a") as fh:
+                fh.write(f"{cell.hidden_size} {cell.lag} {cell.l2_coef} "
+                         f"{cell.adv_weight} {cell.adv_scale}\n")
+            return replace(cell, val_acc=50.0, val_mcc=float(os.getpid()))
+
+        monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
+        grid = GridSpec(hidden_sizes=(4, 8, 16, 32), lags=(2, 3, 5, 10, 15),
+                        l2_coefs=(0.001, 0.01, 0.1), adv_weights=(0.01, 0.1, 1.0),
+                        adv_scales=(0.01, 0.05, 0.1))
+        start = time.monotonic()
+        result = grid_search(grid, easy_data_for_lag, BASE, workers=6)
+        assert time.monotonic() - start < 30
+        counts = Counter(log.read_text().splitlines())
+        assert len(counts) == grid.cell_count() and set(counts.values()) == {1}
+        assert len(result.cells) == grid.cell_count()
