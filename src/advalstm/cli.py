@@ -113,12 +113,26 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _train_once(config: RunConfig, dataset, out: Path, dataset_sha: str) -> None:
+def _usable_cpus() -> int:
+    """Processes a command runs side by side: one per CPU this process may
+    use (taskset bounds it), or 1 where Python cannot tell or cannot fork
+    (macOS, Windows).  No output byte depends on it."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def cmd_train(args) -> int:
+    config = _load_run_config(args)
+    out = _out_dir(config)
+    dataset_path = _require(out / DATASET_FILE, "dataset")
+    dataset = artifacts.load_dataset(dataset_path)
+    dataset_sha = artifacts.file_sha256(dataset_path)
     x_train, y_train = dataset.windows("train", config.lag)
     x_val, y_val = dataset.arrays("val", config.lag)
     dims = config.model_dims()
     train_config = config.train_config()
-    result = train(x_train, y_train, x_val, y_val, dims, train_config)
+    result = train(x_train, y_train, x_val, y_val, dims, train_config, workers=_usable_cpus())
 
     artifacts.save_checkpoint(
         out / CHECKPOINT_FILE,
@@ -149,15 +163,6 @@ def _train_once(config: RunConfig, dataset, out: Path, dataset_sha: str) -> None
         )
     else:
         print("trained 0 epochs; checkpoint holds the seeded initialization")
-
-
-def cmd_train(args) -> int:
-    config = _load_run_config(args)
-    out = _out_dir(config)
-    dataset_path = _require(out / DATASET_FILE, "dataset")
-    dataset = artifacts.load_dataset(dataset_path)
-    sha = artifacts.file_sha256(dataset_path)
-    _train_once(config, dataset, out, sha)
     return EXIT_OK
 
 
@@ -180,9 +185,7 @@ def cmd_grid(args) -> int:
         return (*dataset.windows("train", lag), *dataset.arrays("val", lag))
 
     base = dataclasses.replace(config.train_config(), epochs=config.grid_epochs)
-    # One process per usable CPU (taskset bounds it); no output byte depends on it.
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    result = grid_search(grid, data_for_lag, base, workers=workers)
+    result = grid_search(grid, data_for_lag, base, workers=_usable_cpus())
 
     artifacts.write_grid_csv(out / "grid_results.csv", result.cells)
     best = result.best_stage2

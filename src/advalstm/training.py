@@ -27,6 +27,8 @@ So the perturbed term's upstream gradient joins the clean one in one
 ``backward`` call, and w_head alone gains a term, the rows' sum of that
 gradient times r.  Batch sums are scaled by (train-set size / batch
 size) so the L2 term keeps the same relative weight at any batch size.
+A minibatch of more than ``STEP_ROWS`` rows takes its gradient as the
+sum of fixed chunks of that many rows (see ``train``).
 
 The attack (``attacked_confidences``) is the same margin shift at test
 time: the clean confidences, moved by -y * eps * ||w_head|| on the rows
@@ -35,8 +37,10 @@ whose hinge is active.
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,6 +62,10 @@ MODES = ("normal", "adversarial", "random_perturbation")
 # Below this gradient norm the fast-gradient direction is undefined and
 # no adversarial example is generated.
 GRAD_NORM_FLOOR = 1e-12
+
+# Rows per chunk of a training step: a larger minibatch's gradient is the
+# sum of its chunks' gradients, in chunk order, wherever they are computed.
+STEP_ROWS = 512
 
 # Adam's moment decay rates and denominator floor, as Kingma & Ba (2015) set them.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -369,6 +377,113 @@ def _mean_hinge(
     return loss, acc, yhat
 
 
+def _chunk(objective, extra, x, y, idx, params: ParamSet, scale: float):
+    """(gradients, loss, clean hinge sum) of the rows ``idx``, without the
+    L2 term."""
+    hinge_sums: list[float] = []
+    loss, grads = objective(x[idx], y[idx], params, 0.0, *extra, scale, _hinge_sums=hinge_sums)
+    return grads, loss, hinge_sums[0]
+
+
+def _serve_chunks(conn, callers_ends: list, objective, extra, x, y, dims: ModelDims) -> None:
+    """A helper's loop: for each (row indices, parameter vector, scale)
+    received, send back the chunk's (gradient vector, loss, clean hinge
+    sum), or the exception it raised, until the caller closes its end."""
+    # The fork copied the caller's ends of every pipe made so far; while a
+    # copy is open here, the caller closing its own would not end the loop.
+    for end in callers_ends:
+        end.close()
+    # Ctrl-C reaches the whole process group; the caller handles it and
+    # closes the pipe, which ends this loop.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with conn:
+        while True:
+            try:
+                idx, flat, scale = conn.recv()
+            except EOFError:
+                return
+            try:
+                grads, loss, hinge_sum = _chunk(objective, extra, x, y, idx,
+                                                ParamSet(dims, flat), scale)
+                reply = grads.flat, loss, hinge_sum
+            except Exception as exc:
+                reply = exc
+            try:
+                conn.send(reply)
+            except OSError:  # the caller has stopped listening
+                return
+
+
+@contextmanager
+def _chunk_helpers(count: int, *serve_args) -> Iterator[list]:
+    """Pipes to ``count`` forked processes running ``_serve_chunks``; each
+    is closed and joined on exit, however the block ends."""
+    helpers = []
+    try:
+        if count > 0:
+            # Imported here, so that a serial run holds no multiprocessing
+            # modules.  Fork, whatever the platform default: a helper
+            # inherits the split, the one-thread BLAS pin and any wrapper
+            # installed on the objective without pickling anything.
+            import multiprocessing
+
+            fork = multiprocessing.get_context("fork")
+            for _ in range(count):
+                here, there = fork.Pipe()
+                callers_ends = [conn for conn, _ in helpers] + [here]
+                proc = fork.Process(target=_serve_chunks,
+                                    args=(there, callers_ends, *serve_args))
+                helpers.append((here, proc))
+                proc.start()
+                there.close()
+        yield [conn for conn, _ in helpers]
+    finally:
+        for conn, _ in helpers:
+            conn.close()
+        for _, proc in helpers:
+            if proc.pid is not None:
+                proc.join()
+
+
+def _chunked_gradient(objective, extra, x, y, idx, params: ParamSet, l2_coef: float,
+                      scale: float, helpers: list, hinge_sums: list[float]) -> ParamSet:
+    """The gradient of one minibatch of more than ``STEP_ROWS`` rows.
+
+    Chunk k of the batch runs in process k mod P, where process 0 is
+    this one and the others are ``helpers``, a round of P chunks at a
+    time.  The chunk gradients are summed in chunk order and the L2 term
+    is added once, so the bits do not depend on P.  Raises NumericError
+    when the whole batch's loss, L2 term included, is non-finite.
+    """
+    chunks = [idx[s : s + STEP_ROWS] for s in range(0, idx.size, STEP_ROWS)]
+    results = []  # (gradient vector, loss, clean hinge sum) per chunk
+    for first in range(0, len(chunks), len(helpers) + 1):
+        rest = chunks[first + 1 : first + len(helpers) + 1]
+        for conn, chunk in zip(helpers, rest):
+            conn.send((chunk, params.flat, scale))
+        grads, loss, hinge_sum = _chunk(objective, extra, x, y, chunks[first], params, scale)
+        if first == 0:
+            # The sum accumulates in chunk 0's gradients: building no
+            # ParamSet here keeps each step one objective call followed by
+            # adam_step in the caller, as the benchmark's tracer reads it.
+            step = grads
+        results.append((grads.flat, loss, hinge_sum))
+        for conn in helpers[: len(rest)]:
+            reply = conn.recv()
+            if isinstance(reply, BaseException):
+                raise reply
+            results.append(reply)
+    flats, losses, sums = zip(*results)
+    for flat in flats[1:]:
+        step.flat += flat
+    if l2_coef:
+        step.flat += l2_coef * params.flat
+    hinge_sums.extend(sums)
+    if not np.isfinite(sum(losses) + 0.5 * l2_coef * params.l2_norm_sq()):
+        raise NumericError("objective is non-finite")
+    return step
+
+
 def train(
     x_train: np.ndarray,
     y_train: np.ndarray,
@@ -377,12 +492,15 @@ def train(
     dims: ModelDims,
     config: TrainConfig,
     on_epoch: Callable[[EpochRecord], None] | None = None,
+    *,
+    workers: int = 1,
 ) -> TrainResult:
     """Seeded mini-batch training with best-validation-accuracy selection.
 
     ``x_train`` is read only through ``len(x_train)`` and ``x_train[idx]``
-    with an index array, once per step, so it is an ndarray of windows or a
-    ``market_data.Windows``, which gathers each minibatch from the panel.
+    with an index array, once per step or per chunk, so it is an ndarray of
+    windows or a ``market_data.Windows``, which gathers each minibatch from
+    the panel.
 
     Shuffling, initialization, and random perturbations all draw from
     one generator seeded by ``config.seed``, so identical inputs and
@@ -394,6 +512,17 @@ def train(
     validation split every epoch is the latest best, so the final
     parameters are returned and patience never fires.  Raises
     DivergenceError when the loss or the parameters stop being finite.
+
+    A minibatch of at most ``STEP_ROWS`` rows takes one objective call.
+    A larger one, in "normal" and "adversarial" mode, is cut into chunks
+    of ``STEP_ROWS`` rows, each evaluated without the L2 term; the step's
+    gradient is their sum in chunk order plus the L2 term (see
+    ``_chunked_gradient``).  ``workers`` counts the processes that
+    compute chunks, this one included; the others are forked once per
+    call, only when a batch has chunks for them, and each gathers its
+    chunks' rows itself.  No result depends on ``workers``.
+    "random_perturbation" mode always takes one call per step in this
+    process, since its noise comes from the one generator here.
     """
     for split, x, y in (("train", x_train, y_train), ("validation", x_val, y_val)):
         if len(x) != len(y):
@@ -422,35 +551,42 @@ def train(
     best_val_yhat = None
     history: list[EpochRecord] = []
 
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        hinge_sums: list[float] = []
-        try:
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                xb, yb = x_train[idx], y_train[idx]
-                scale = scale_total / idx.size
-                _, grads = objective(xb, yb, params, config.l2_coef, *extra, scale,
-                                     _hinge_sums=hinge_sums)
-                params, state = adam_step(params, grads, state, config.learning_rate)
-            val_loss, val_acc, val_yhat = _mean_hinge(x_val, y_val, params)
-        except NumericError as exc:
-            raise DivergenceError(f"epoch {epoch}: {exc}") from exc
-        if not np.isfinite(params.flat).all():
-            raise DivergenceError(f"epoch {epoch}: parameters are non-finite")
-        record = EpochRecord(epoch=epoch, train_loss=sum(hinge_sums) / n,
-                             val_loss=val_loss, val_acc=val_acc)
-        history.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
+    chunked = config.mode != "random_perturbation"
+    chunks = -(-min(config.batch_size, n) // STEP_ROWS) if chunked else 1
+    with _chunk_helpers(min(workers, chunks) - 1, objective, extra, x_train, y_train,
+                        dims) as helpers:
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n)
+            hinge_sums: list[float] = []
+            try:
+                for start in range(0, n, config.batch_size):
+                    idx = order[start : start + config.batch_size]
+                    scale = scale_total / idx.size
+                    if chunked and idx.size > STEP_ROWS:
+                        grads = _chunked_gradient(objective, extra, x_train, y_train, idx, params,
+                                                  config.l2_coef, scale, helpers, hinge_sums)
+                    else:
+                        _, grads = objective(x_train[idx], y_train[idx], params, config.l2_coef,
+                                             *extra, scale, _hinge_sums=hinge_sums)
+                    params, state = adam_step(params, grads, state, config.learning_rate)
+                val_loss, val_acc, val_yhat = _mean_hinge(x_val, y_val, params)
+            except NumericError as exc:
+                raise DivergenceError(f"epoch {epoch}: {exc}") from exc
+            if not np.isfinite(params.flat).all():
+                raise DivergenceError(f"epoch {epoch}: parameters are non-finite")
+            record = EpochRecord(epoch=epoch, train_loss=sum(hinge_sums) / n,
+                                 val_loss=val_loss, val_acc=val_acc)
+            history.append(record)
+            if on_epoch is not None:
+                on_epoch(record)
 
-        if not y_val.size or val_acc > best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
-            best_params = params.copy()
-            best_val_yhat = val_yhat
-        if config.patience and epoch - best_epoch >= config.patience:
-            break
+            if not y_val.size or val_acc > best_acc:
+                best_acc = val_acc
+                best_epoch = epoch
+                best_params = params.copy()
+                best_val_yhat = val_yhat
+            if config.patience and epoch - best_epoch >= config.patience:
+                break
 
     if best_val_yhat is None:
         # Zero epochs or no validation split: nothing scored best_params yet.

@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import datetime as dt
 import json
+import multiprocessing
 import os
 import platform
 import struct
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import advalstm
-from advalstm import gridsearch, market_data
+from advalstm import cli, gridsearch, market_data, training
 from advalstm.artifacts import (
     MAGIC,
     load_checkpoint,
@@ -27,7 +28,7 @@ from advalstm.artifacts import (
 )
 from advalstm.cli import main
 from advalstm.config import dump_config, load_config
-from advalstm.errors import DivergenceError
+from advalstm.errors import DivergenceError, NumericError
 from advalstm.market_data import SplitArrays
 from advalstm.model import init_params
 from advalstm.synthetic import write_regime_price_csv
@@ -391,6 +392,78 @@ class TestTrain:
         )
         assert run("train", "--config", str(bad)) == 3
 
+
+
+class TestTrainWorkers:
+    """``train`` computes the chunks of a batch over 512 rows in one
+    process per usable CPU."""
+
+    @pytest.fixture(scope="class")
+    def big(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("train-workers")
+        write_regime_price_csv(base / "prices", n_stocks=12, n_days=200, seed=11)
+        out = base / "out"
+        cfg = write_config(base / "run.cfg", base / "prices", out, **{
+            "split.train_end": "2020-07-01", "split.val_end": "2020-08-01",
+            "split.test_end": "2020-10-01", "train.mode": "adversarial",
+            "train.batch_size": "1024", "train.epochs": "2"})
+        assert run("build", "--config", str(cfg)) == 0
+        # a two-chunk batch and a tail
+        assert 1024 < len(load_dataset(out / "dataset.bin").train) < 2048
+        return cfg, out
+
+    def test_bytes_do_not_depend_on_the_cpu_count(self, big):
+        cfg, out = big
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(advalstm.__file__).resolve().parents[1])
+        outputs = []
+        for cpus in (1, 2):
+            script = (f"import os, sys; os.sched_getaffinity = lambda pid: set(range({cpus})); "
+                      f"from advalstm.cli import main; sys.exit(main(['train', '--config', "
+                      f"{str(cfg)!r}]))")
+            subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("model.ckpt", "loss_curves.csv", "run_manifest.json")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("affinity", [None, {0}, {0, 1}], ids=["real", "one", "two"])
+    def test_one_worker_per_usable_cpu(self, big, monkeypatch, affinity):
+        cfg, _ = big
+        if affinity is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        workers = []
+        real_train = cli.train
+
+        def recording_train(*args, **kwargs):
+            workers.append(kwargs["workers"])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        assert run("train", "--config", str(cfg)) == 0
+        assert workers == [len(os.sched_getaffinity(0))]
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_where_python_cannot_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert cli._usable_cpus() == 1
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_divergence_in_a_chunk_exits_3(self, big, monkeypatch, capsys, where):
+        cfg, _ = big
+        caller = os.getpid()
+        real_objective = training.objective_adversarial
+
+        def failing(*args, **kwargs):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise NumericError(f"non-finite chunk in the {where}")
+            return real_objective(*args, **kwargs)
+
+        monkeypatch.setattr(training, "objective_adversarial", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run("train", "--config", str(cfg)) == 3
+        assert f"non-finite chunk in the {where}" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 class TestGrid:
     def test_grid_and_best_config(self, price_dir, built, capsys):

@@ -1,14 +1,17 @@
 import datetime as dt
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from advalstm import training
-from advalstm.errors import ContractError, DivergenceError, ShapeError
+from advalstm.errors import ContractError, DivergenceError, NumericError, ShapeError
 from advalstm.market_data import SplitSpec, align_trading_days, ingest_eod, label_and_window
 from advalstm.model import ModelDims, classify, forward, head_forward, init_params, predict
 from advalstm.synthetic import make_regime_examples, write_regime_price_csv
 from advalstm.training import (
+    STEP_ROWS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -727,6 +730,103 @@ class TestTrainLoop:
             train(np.zeros((0, 3, 11)), np.zeros(0), np.zeros((0, 3, 11)), np.zeros(0),
                   small_dims, TrainConfig(epochs=1))
 
+
+
+class TestTrainWorkers:
+    """Batches of more than STEP_ROWS rows take their gradient from
+    STEP_ROWS-row chunks, computed here and in forked helpers."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        # At batch 1024: two two-chunk batches and a 52-row tail.  At
+        # batch 1536: a three-chunk batch and a two-chunk tail of 564.
+        return make_regime_examples(2100, lag=3, seed=2, label_noise=0.3)
+
+    @pytest.mark.parametrize("batch_size", [1024, 1536])
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_bytes_do_not_depend_on_workers(self, small_dims, data, mode, batch_size):
+        x, y = data
+        config = TrainConfig(mode=mode, epochs=2, batch_size=batch_size, seed=5, patience=0,
+                             adv_weight=0.5, adv_scale=0.05)
+        chunks = -(-batch_size // STEP_ROWS)
+        results = []
+        for workers in (1, 2, 3):
+            alive = []
+            results.append(train(x, y, x[:300], y[:300], small_dims, config,
+                                 on_epoch=lambda r: alive.append(multiprocessing.active_children()),
+                                 workers=workers))
+            # One helper per further worker that a batch has a chunk for,
+            # forked once per call; random mode never forks.
+            helpers = 0 if mode == "random_perturbation" else min(workers, chunks) - 1
+            assert [len(a) for a in alive] == [helpers] * 2 and alive[0] == alive[1]
+            assert multiprocessing.active_children() == []
+        first = results[0]
+        for other in results[1:]:
+            assert other.params.flat.tobytes() == first.params.flat.tobytes()
+            assert other.history == first.history
+            assert other.val_yhat.tobytes() == first.val_yhat.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["normal", "adversarial"])
+    def test_a_chunked_step_matches_the_whole_batch(self, small_dims, monkeypatch, mode,
+                                                     workers):
+        # Oracle: the public objective over the whole 1,000-row batch (512 +
+        # 488 rows in chunks), at the parameters each step saw.
+        x, y = make_regime_examples(1000, lag=3, seed=8, label_noise=0.3)
+        seen = []
+        real_step = training.adam_step
+
+        def snapshot_step(params, grads, *args, **kwargs):
+            seen.append((params.copy(), grads.copy()))
+            return real_step(params, grads, *args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", snapshot_step)
+        config = TrainConfig(mode=mode, epochs=2, batch_size=1024, seed=5, patience=0,
+                             l2_coef=0.01, adv_weight=0.5, adv_scale=0.05)
+        result = train(x, y, x[:16], y[:16], small_dims, config, workers=workers)
+
+        objective, extra = {
+            "normal": (objective_normal, ()),
+            "adversarial": (objective_adversarial, (config.adv_weight, config.adv_scale)),
+        }[mode]
+        assert len(seen) == len(result.history) == 2
+        for (params, grads), record in zip(seen, result.history):
+            hinge_sums = []
+            _, expected = objective(x, y, params, config.l2_coef, *extra, 1.0,
+                                    _hinge_sums=hinge_sums)
+            assert max_relative_error(grads.flat, expected.flat) < 1e-12
+            assert record.train_loss == pytest.approx(hinge_sums[0] / len(y), rel=1e-12)
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_a_raise_in_a_chunk_diverges_and_leaves_no_process(self, small_dims, monkeypatch,
+                                                                data, where):
+        caller = os.getpid()
+        real_objective = training.objective_normal
+
+        def failing(*args, **kwargs):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise NumericError(f"non-finite chunk in the {where}")
+            return real_objective(*args, **kwargs)
+
+        monkeypatch.setattr(training, "objective_normal", failing)
+        x, y = data
+        config = TrainConfig(epochs=2, batch_size=1024, seed=1)
+        with pytest.raises(DivergenceError, match=f"epoch 1: non-finite chunk in the {where}"):
+            train(x, y, x[:16], y[:16], small_dims, config, workers=2)
+        assert multiprocessing.active_children() == []
+
+    # Each chunk runs without the L2 term, so only the whole step's loss
+    # sees it overflow.  At l2 = 1e308 every chunk loss and the gradient
+    # stay finite, and Adam would leave the parameters where they are.
+    # 1,600 rows make batches of 1,024 and 576: both take chunks.
+    @pytest.mark.parametrize("learning_rate, l2_coef", [(1e160, 1.0), (0.01, 1e308)])
+    def test_divergence_is_checked_on_the_whole_step(self, small_dims, data, learning_rate,
+                                                      l2_coef):
+        x, y = data
+        config = TrainConfig(epochs=3, batch_size=1024, seed=1, learning_rate=learning_rate,
+                             l2_coef=l2_coef)
+        with pytest.raises(DivergenceError, match="objective is non-finite"):
+            train(x[:1600], y[:1600], x[:16], y[:16], small_dims, config)
 
 class TestTrainOnWindows:
     @pytest.mark.parametrize("mode", training.MODES)
