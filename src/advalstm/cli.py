@@ -84,7 +84,7 @@ def cmd_build(args) -> int:
     spec = config.split_spec()
     out = _out_dir(config)
 
-    series = ingest_eod(config.data_path)
+    series = ingest_eod(config.data_path, workers=_usable_cpus())
     aligned = align_trading_days(series, min_coverage=config.min_coverage)
     dataset = label_and_window(aligned, spec)
 

@@ -1,8 +1,9 @@
 """End-of-day market data pipeline.
 
 Raw per-stock price rows go through four stages: ingestion (CSV ->
-whole columns parsed and checked at once -> one date-sorted EodSeries of
-date ordinals and prices per stock), trading-day alignment (intersection
+whole columns parsed and checked at once, a directory's files side by
+side in forked processes -> one date-sorted EodSeries of date ordinals
+and prices per stock), trading-day alignment (intersection
 calendar across stocks, stored as one dense (stocks, days, price column)
 panel), feature computation (11 price ratios for every stock-day of the
 panel at once), and labeling (next-day movement labels of anchor days in
@@ -36,6 +37,7 @@ from .errors import (
     MarketSemanticsWarning,
     ParseError,
 )
+from .forking import forked
 
 CSV_COLUMNS = ("stock", "date", "open", "high", "low", "close", "adj_close", "volume")
 
@@ -291,16 +293,18 @@ def _check_block(rows: list[list[str]], header: list[str], codes: dict[str, int]
     return stock_code, dates, values
 
 
-def _read_csv(path: Path, codes: dict[str, int],
-              ordinals: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check one file BLOCK_ROWS rows at a time; return what
-    ``_check_block`` returns for all of its rows.
+def _read_csv(path: Path, ordinals: dict[str, int]) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, list[str], int, int | None]:
+    """Check one file BLOCK_ROWS rows at a time; return its rows' stock
+    codes, date ordinals and NUMERIC_COLUMNS as ``_check_block`` gives
+    them, the file's stock ids in code order, and its count of rows where
+    low/high do not bound open/close with the first one's line.
 
     Rows read as csv.DictReader reads them: blank lines are skipped and
     not counted (line numbers count the rest from 2), a column named
     twice is read from its last place, a short row reads None past its end.
     """
-    parts = []
+    codes, parts = {}, []  # stock id -> code in this file; each block's arrays
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -324,19 +328,41 @@ def _read_csv(path: Path, codes: dict[str, int],
 
     open_, high, low, close = values[:, :4].T  # PRICE_COLUMNS order
     unbounded = np.flatnonzero((low > np.minimum(open_, close)) | (high < np.maximum(open_, close)))
-    if unbounded.size:
-        warnings.warn(f"{path}: {unbounded.size} row(s) where low/high do not bound open/close "
-                      f"(first at line {unbounded[0] + 2})", MarketSemanticsWarning, stacklevel=3)
-    return stock_code, dates, values
+    first_line = int(unbounded[0]) + 2 if unbounded.size else None
+    return stock_code, dates, values, list(codes), unbounded.size, first_line
 
 
-def ingest_eod(path: str | Path) -> dict[str, EodSeries]:
+def _serve_files(conn, files: list[Path]) -> None:
+    """A helper's loop: send back ``_read_csv``'s result for each file in
+    turn, or the exception that stops it at the first failing file."""
+    ordinals = {}  # date cell -> ordinal
+    for f in files:
+        try:
+            reply = _read_csv(f, ordinals)
+        except Exception as exc:
+            reply = exc
+        try:
+            conn.send(reply)
+        except OSError:  # the caller has stopped listening
+            return
+        if isinstance(reply, Exception):
+            return
+
+
+def ingest_eod(path: str | Path, *, workers: int = 1) -> dict[str, EodSeries]:
     """Read one CSV file (or every ``*.csv`` in a directory) into
     date-sorted series, in sorted stock order.
 
     Raises ParseError for malformed rows or CSV syntax (with file:line
     context) and non-UTF-8 files; DataError for non-positive prices, duplicate
-    (stock, date) pairs, or no data rows at all.
+    (stock, date) pairs, or no data rows at all.  Warns once per file with
+    rows where low/high do not bound open/close (MarketSemanticsWarning).
+
+    ``workers`` counts the processes that parse files, this one included:
+    file k of the sorted list is parsed in process k mod P, with
+    P = min(workers, files), and the others are forked once per call.
+    Their results are taken in file order, so the series, the first error
+    and the warnings are those of a serial read whatever ``workers`` is.
     """
     path = Path(path)
     if not path.exists():
@@ -345,10 +371,22 @@ def ingest_eod(path: str | Path) -> dict[str, EodSeries]:
     if not files:
         raise DataError(f"no .csv files under {path}")
 
-    # stock id -> code; date cell -> ordinal; one file's arrays each
-    codes, ordinals, parts = {}, {}, []
-    for f in files:  # not a comprehension: the warnings' stacklevel counts frames
-        parts.append(_read_csv(f, codes, ordinals))
+    procs = max(1, min(workers, len(files)))
+    codes, ordinals, parts = {}, {}, []  # stock id -> code; date cell -> ordinal; file arrays
+    with forked(_serve_files, [(files[p::procs],) for p in range(1, procs)]) as helpers:
+        for first in range(0, len(files), procs):
+            replies = [_read_csv(files[first], ordinals)]
+            replies += [conn.recv() for conn in helpers[: len(files) - first - 1]]
+            for f, reply in zip(files[first:], replies):
+                if isinstance(reply, Exception):
+                    raise reply
+                stock_code, dates, values, stocks, unbounded, first_line = reply
+                if unbounded:
+                    warnings.warn(f"{f}: {unbounded} row(s) where low/high do not bound "
+                                  f"open/close (first at line {first_line})",
+                                  MarketSemanticsWarning, stacklevel=2)
+                code = np.array([codes.setdefault(s, len(codes)) for s in stocks], np.intp)
+                parts.append((code[stock_code], dates, values))
     stock_code, dates, values = map(np.concatenate, zip(*parts))
     del parts  # not held through the sort, which is ingest's memory peak
     if not codes:

@@ -37,14 +37,13 @@ whose hinge is active.
 
 from __future__ import annotations
 
-import signal
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError, DivergenceError, NumericError, ShapeError
+from .forking import forked
 from .model import (
     ForwardTrace,
     ModelDims,
@@ -385,64 +384,25 @@ def _chunk(objective, extra, x, y, idx, params: ParamSet, scale: float):
     return grads, loss, hinge_sums[0]
 
 
-def _serve_chunks(conn, callers_ends: list, objective, extra, x, y, dims: ModelDims) -> None:
+def _serve_chunks(conn, objective, extra, x, y, dims: ModelDims) -> None:
     """A helper's loop: for each (row indices, parameter vector, scale)
     received, send back the chunk's (gradient vector, loss, clean hinge
     sum), or the exception it raised, until the caller closes its end."""
-    # The fork copied the caller's ends of every pipe made so far; while a
-    # copy is open here, the caller closing its own would not end the loop.
-    for end in callers_ends:
-        end.close()
-    # Ctrl-C reaches the whole process group; the caller handles it and
-    # closes the pipe, which ends this loop.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    with conn:
-        while True:
-            try:
-                idx, flat, scale = conn.recv()
-            except EOFError:
-                return
-            try:
-                grads, loss, hinge_sum = _chunk(objective, extra, x, y, idx,
-                                                ParamSet(dims, flat), scale)
-                reply = grads.flat, loss, hinge_sum
-            except Exception as exc:
-                reply = exc
-            try:
-                conn.send(reply)
-            except OSError:  # the caller has stopped listening
-                return
-
-
-@contextmanager
-def _chunk_helpers(count: int, *serve_args) -> Iterator[list]:
-    """Pipes to ``count`` forked processes running ``_serve_chunks``; each
-    is closed and joined on exit, however the block ends."""
-    helpers = []
-    try:
-        if count > 0:
-            # Imported here, so that a serial run holds no multiprocessing
-            # modules.  Fork, whatever the platform default: a helper
-            # inherits the split, the one-thread BLAS pin and any wrapper
-            # installed on the objective without pickling anything.
-            import multiprocessing
-
-            fork = multiprocessing.get_context("fork")
-            for _ in range(count):
-                here, there = fork.Pipe()
-                callers_ends = [conn for conn, _ in helpers] + [here]
-                proc = fork.Process(target=_serve_chunks,
-                                    args=(there, callers_ends, *serve_args))
-                helpers.append((here, proc))
-                proc.start()
-                there.close()
-        yield [conn for conn, _ in helpers]
-    finally:
-        for conn, _ in helpers:
-            conn.close()
-        for _, proc in helpers:
-            if proc.pid is not None:
-                proc.join()
+    while True:
+        try:
+            idx, flat, scale = conn.recv()
+        except EOFError:
+            return
+        try:
+            grads, loss, hinge_sum = _chunk(objective, extra, x, y, idx,
+                                            ParamSet(dims, flat), scale)
+            reply = grads.flat, loss, hinge_sum
+        except Exception as exc:
+            reply = exc
+        try:
+            conn.send(reply)
+        except OSError:  # the caller has stopped listening
+            return
 
 
 def _chunked_gradient(objective, extra, x, y, idx, params: ParamSet, l2_coef: float,
@@ -553,8 +513,8 @@ def train(
 
     chunked = config.mode != "random_perturbation"
     chunks = -(-min(config.batch_size, n) // STEP_ROWS) if chunked else 1
-    with _chunk_helpers(min(workers, chunks) - 1, objective, extra, x_train, y_train,
-                        dims) as helpers:
+    helper_args = [(objective, extra, x_train, y_train, dims)] * (min(workers, chunks) - 1)
+    with forked(_serve_chunks, helper_args) as helpers:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
             hinge_sums: list[float] = []

@@ -465,6 +465,82 @@ class TestTrainWorkers:
         assert f"non-finite chunk in the {where}" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
+
+class TestBuildWorkers:
+    """``build`` parses a directory's files in one process per usable CPU."""
+
+    @pytest.fixture(scope="class")
+    def market(self, tmp_path_factory):
+        """Four one-stock files; the second and fourth, which a second
+        process parses, each hold a row whose high is below its open."""
+        base = tmp_path_factory.mktemp("build-workers")
+        prices = base / "prices"
+        symbols = write_regime_price_csv(prices, n_stocks=4, n_days=120, seed=11)
+        for symbol in symbols[1::2]:
+            path = prices / f"{symbol}.csv"
+            lines = path.read_text().splitlines()
+            cells = lines[7].split(",")
+            cells[3] = repr(float(cells[2]) / 2)  # high = open / 2
+            lines[7] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+        return base, prices
+
+    def test_bytes_do_not_depend_on_the_cpu_count(self, market):
+        base, prices = market
+        out = base / "out"
+        cfg = write_config(base / "run.cfg", prices, out)
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(advalstm.__file__).resolve().parents[1])
+        outputs = []
+        for cpus in (1, 2):
+            script = (f"import os, sys; os.sched_getaffinity = lambda pid: set(range({cpus})); "
+                      f"from advalstm.cli import main; sys.exit(main(['build', '--config', "
+                      f"{str(cfg)!r}]))")
+            proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True)
+            outputs.append([proc.stdout, proc.stderr]
+                           + [(out / name).read_bytes()
+                              for name in ("dataset.bin", "build_manifest.json")])
+        assert outputs[0][1].count(b"MarketSemanticsWarning") == 2
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("affinity", [None, {0}, {0, 1}], ids=["real", "one", "two"])
+    def test_one_worker_per_usable_cpu(self, market, tmp_path, monkeypatch, affinity):
+        _, prices = market
+        if affinity is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        workers = []
+        real_ingest = cli.ingest_eod
+
+        def recording_ingest(*args, **kwargs):
+            workers.append(kwargs["workers"])
+            return real_ingest(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest_eod", recording_ingest)
+        cfg = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == 0
+        assert workers == [len(os.sched_getaffinity(0))]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad", [(0,), (1,), (3,), (1, 2), (2, 3)],
+                             ids=["caller", "helper", "helper-last", "helper-first", "caller-first"])
+    def test_the_first_bad_file_exits_2_with_no_process_left(self, market, tmp_path, monkeypatch,
+                                                             capsys, bad):
+        _, prices = market
+        files = sorted(prices.glob("*.csv"))
+        copy = tmp_path / "prices"
+        copy.mkdir()
+        for i, f in enumerate(files):  # file k is parsed in process k mod 2
+            text = f.read_text() + ("SYN,2020-05-01,x,1,1,1,1,1\n" if i in bad else "")
+            (copy / f.name).write_text(text)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = write_config(tmp_path / "run.cfg", copy, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == 2
+        first = copy / files[bad[0]].name
+        assert f"error: {first}:122: column 'open' is not a number" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+
 class TestGrid:
     def test_grid_and_best_config(self, price_dir, built, capsys):
         cfg, out, base = built

@@ -129,6 +129,34 @@ class TestIngest:
         with pytest.warns(MarketSemanticsWarning, match="1 row"):
             ingest_eod(p)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warnings_point_at_the_caller_in_file_order(self, tmp_path, workers):
+        write_csv(tmp_path / "a.csv", [f"A,{day(0)},10,12,11,10,10,1000"])  # low > open
+        write_csv(tmp_path / "b.csv", [price_row("B", 0, 20), f"B,{day(1)},10,9,10,10,10,1000"])
+        with pytest.warns(MarketSemanticsWarning) as caught:
+            ingest_eod(tmp_path, workers=workers)  # b.csv is the helper's at 2 workers
+        assert [str(w.message) for w in caught] == [
+            f"{tmp_path / 'a.csv'}: 1 row(s) where low/high do not bound open/close "
+            f"(first at line 2)",
+            f"{tmp_path / 'b.csv'}: 1 row(s) where low/high do not bound open/close "
+            f"(first at line 3)"]
+        assert [w.filename for w in caught] == [__file__, __file__]
+
+    @pytest.mark.parametrize("bad", [None, 0, 3], ids=["clean", "caller", "helper"])
+    @pytest.mark.parametrize("workers", [3, 8])
+    def test_more_workers_than_cpus(self, tmp_path, workers, bad):
+        # Five files of 5,000 rows: up to four helpers, each with a reply
+        # larger than a pipe holds, blocked in send when the caller stops.
+        for k in range(5):
+            rows = [price_row(f"S{k}", i, 10 + k) for i in range(5000)]
+            rows += ["S,2020-01-01,x,1,1,1,1,1"] if k == bad else []
+            write_csv(tmp_path / f"f{k}.csv", rows)
+        read = [ingest_outcome(lambda p: {s: (e.dates, e.prices)
+                                          for s, e in ingest_eod(p, workers=w).items()}, tmp_path)
+                for w in (1, workers)]
+        assert read[0] == read[1]
+        assert isinstance(read[0][0], tuple) == (bad is not None)
+
 
 PRICE_TEXT = ("10", "10.5", " 9.75 ", "1_0", "1e1", "11", "0.5", "12.000")
 VOLUME_TEXT = ("0", "1000", "1_000", " 5 ", "2.5")
@@ -209,16 +237,19 @@ def ingest_outcome(ingest, path):
 
 
 class TestIngestMatchesRowOracle:
+    @pytest.mark.parametrize("workers", [1, 2])
     @settings(max_examples=200, deadline=None)
     @given(market=raw_markets(), block_rows=st.integers(1, 8))
-    def test_same_series_errors_and_warnings(self, market, block_rows):
+    def test_same_series_errors_and_warnings(self, market, block_rows, workers):
         files, fault = market
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in files.items():
                 (Path(tmp) / name).write_text(text, encoding="utf-8")
+            # a helper inherits the patch through the fork
             with mock.patch.object(market_data, "BLOCK_ROWS", block_rows):  # files span blocks
                 columnar = ingest_outcome(
-                    lambda p: {s: (e.dates, e.prices) for s, e in ingest_eod(p).items()}, tmp)
+                    lambda p: {s: (e.dates, e.prices)
+                               for s, e in ingest_eod(p, workers=workers).items()}, tmp)
             expected = ingest_outcome(ingest_oracle, tmp)
         assert columnar == expected
         if fault:
