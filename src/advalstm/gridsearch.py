@@ -9,9 +9,8 @@ parameter order, so the search is deterministic.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import product, starmap
 from typing import Callable
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import ContractError
 from .evaluation import accuracy, mcc
+from .forking import forked, receive, reply, send
 from .model import ModelDims, classify
 from .training import TrainConfig, train
 
@@ -87,15 +87,11 @@ def _evaluate_cell(data_for_lag: DataForLag, base: TrainConfig, cell: GridCell) 
     return replace(cell, val_acc=accuracy(y_val, pred), val_mcc=mcc(y_val, pred))
 
 
-# A forked child's data_for_lag, and the two ends of the stage's queue of
-# cells that it shares with the calling process, set once by its initializer.
-_worker_data: DataForLag | None = None
-_worker_ends = None
+class _Ends(list):
+    """A queue's two ends, held by this process alone."""
 
-
-def _init_worker(data_for_lag: DataForLag, ends) -> None:
-    global _worker_data, _worker_ends
-    _worker_data, _worker_ends = data_for_lag, ends
+    def get_lock(self):
+        return nullcontext()
 
 
 def _claim(ends, cheap: bool) -> int | None:
@@ -112,86 +108,77 @@ def _claim(ends, cheap: bool) -> int | None:
         return hi - 1
 
 
-def _drain(queue: list[GridCell], evaluate: Callable[[GridCell], GridCell], ends,
-           cheap: bool, first: int | None = None) -> dict[int, GridCell]:
-    """Score cells taken from one end of ``queue``, starting at ``first``
-    if given, until the ends meet; returns them by queue position.  A
-    raise closes the queue, so every other process stops after its
-    current cell."""
-    scored = {}
-    k = _claim(ends, cheap) if first is None else first
-    try:
-        while k is not None:
-            scored[k] = evaluate(queue[k])
-            k = _claim(ends, cheap)
-    except BaseException:
-        with ends.get_lock():
-            ends[0] = ends[1]
-        raise
-    return scored
+def _serve_stages(conn, data_for_lag: DataForLag, ends) -> None:
+    """A helper's loop: for each (base, queue) received, send back the
+    (position, cell) of each cell that it claims at the queue's expensive
+    end and scores, then None once the ends have met.  A cell that raises
+    closes the queue, and its exception is sent back instead."""
+
+    def score(base: TrainConfig, queue: list[GridCell]) -> tuple[int, GridCell] | None:
+        k = _claim(ends, cheap=False)
+        try:
+            return None if k is None else (k, _evaluate_cell(data_for_lag, base, queue[k]))
+        except BaseException:
+            ends[:] = [0, 0]  # the ends meet, so every process stops after its current cell
+            raise
+
+    while True:
+        base, queue = conn.recv()
+        while reply(conn, score, base, queue) is not None:
+            pass
 
 
-def _drain_in_worker(base: TrainConfig, queue: list[GridCell]) -> dict[int, GridCell]:
-    return _drain(queue, partial(_evaluate_cell, _worker_data, base), _worker_ends, cheap=False)
-
-
-def _evaluate_stage(
-    cells: list[GridCell],
-    data_for_lag: DataForLag,
-    base: TrainConfig,
-    pool: Executor | None,
-    children: int,
-    ends,
-    on_cell: Callable[[GridCell], None] | None,
-) -> list[GridCell]:
+def _evaluate_stage(cells: list[GridCell], data_for_lag: DataForLag, base: TrainConfig,
+                    helpers: list, ends, on_cell: Callable[[GridCell], None] | None,
+                    ) -> list[GridCell]:
     """Every cell of one stage, scored, in the order given.
 
-    The cells queue up cheapest (hidden x lag) first.  Without a pool
-    this process scores them in that order.  With one, ``ends`` holds
-    the queue's two ends, shared with the pool's ``children`` forked
-    processes: this process claims the cheapest cell before any child
-    starts, then takes cells from the cheap end while each child takes
-    them from the expensive end, each as soon as it is free, until the
-    ends meet.  So no CPU idles while a cell is unclaimed, this process
-    scores at least one cell per stage, and the largest cells run in
-    the children.  ``on_cell`` runs here, once per cell.
+    The cells queue up cheapest (hidden x lag) first.  This process
+    claims the cheapest cell before any helper can start, then takes
+    cells from the cheap end of ``ends`` while each helper takes them
+    from the expensive end, each as soon as it is free, until the ends
+    meet.  So no CPU idles while a cell is unclaimed, this process scores
+    at least one cell per stage, and the largest cells run in the
+    helpers.  ``on_cell`` runs here, for a helper's cell as soon as this
+    process is between cells.  Any raise closes the queue.
     """
     order = sorted(range(len(cells)), key=lambda i: cells[i].hidden_size * cells[i].lag)
     queue = [cells[i] for i in order]
+    done: list[GridCell | None] = [None] * len(cells)
+    busy = list(helpers)  # those that may still claim from ``ends``: each until it sends None
 
-    def evaluate(cell: GridCell) -> GridCell:
-        cell = _evaluate_cell(data_for_lag, base, cell)
+    def take(k: int, cell: GridCell) -> None:
+        done[order[k]] = cell
         if on_cell is not None:
             on_cell(cell)
-        return cell
 
-    if pool is None:
-        scored = dict(enumerate(map(evaluate, queue)))
-    else:
+    def collect(wait: bool) -> None:
+        for conn in helpers:
+            while conn in busy and (wait or conn.poll()):
+                if (result := receive(conn)) is None:
+                    busy.remove(conn)
+                else:
+                    take(*result)
+
+    try:
         ends[:] = [1, len(queue)]  # this process holds queue[0]
-        futures = [pool.submit(_drain_in_worker, base, queue)
-                   for _ in range(min(children, len(queue) - 1))]
-        scored = _drain(queue, evaluate, ends, cheap=True, first=0)
-        for future in futures:
-            child_scored = future.result()
-            scored.update(child_scored)
-            if on_cell is not None:
-                for cell in child_scored.values():
-                    on_cell(cell)
-    done: list[GridCell | None] = [None] * len(cells)
-    for k, i in enumerate(order):
-        done[i] = scored[k]
+        for conn in helpers:
+            send(conn, (base, queue))
+        k = 0
+        while k is not None:
+            take(k, _evaluate_cell(data_for_lag, base, queue[k]))
+            collect(wait=False)
+            k = _claim(ends, cheap=True)
+        collect(wait=True)
+    except BaseException:
+        ends[:] = [0, 0]
+        raise
     return done
 
 
-def grid_search(
-    grid: GridSpec,
-    data_for_lag: DataForLag,
-    base_train: TrainConfig,
-    on_cell: Callable[[GridCell], None] | None = None,
-    *,
-    workers: int = 1,
-) -> GridResult:
+def grid_search(grid: GridSpec, data_for_lag: DataForLag, base_train: TrainConfig,
+                on_cell: Callable[[GridCell], None] | None = None, *, workers: int = 1,
+                ) -> GridResult:
     """Run both stages; returns every cell plus the stage winners.
 
     ``data_for_lag`` supplies the train and validation arrays at each
@@ -205,32 +192,21 @@ def grid_search(
     """
     stage1_cells = list(starmap(GridCell, product(grid.hidden_sizes, grid.lags, grid.l2_coefs)))
     stage_sizes = (len(stage1_cells), len(grid.adv_weights) * len(grid.adv_scales))
-    # Forked processes; this one scores cells too, and no stage has cells
-    # for more processes than it has cells.
+    # This process scores cells too, and no stage has cells for more processes.
     children = min(workers, max(stage_sizes)) - 1
-    pool = ends = None
     if children > 0:
-        # Imported here, so that no other command holds the pool's modules.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing  # here, so that a serial run holds no multiprocessing modules
 
-        # Fork, whatever the platform default: a child inherits the data,
-        # the queue's shared ends, the one-thread BLAS pin and the heap
-        # settings without importing or unpickling anything.
-        fork = multiprocessing.get_context("fork")
-        ends = fork.Array("q", 2)
-        pool = ProcessPoolExecutor(children, mp_context=fork, initializer=_init_worker,
-                                   initargs=(data_for_lag, ends))
-    try:
+        ends = multiprocessing.get_context("fork").Array("q", 2)  # the helpers inherit it
+    else:
+        ends = _Ends([0, 0])
+    with forked(_serve_stages, [(data_for_lag, ends)] * children) as helpers:
         stage1 = _evaluate_stage(stage1_cells, data_for_lag, replace(base_train, mode="normal"),
-                                 pool, children, ends, on_cell)
+                                 helpers, ends, on_cell)
         s1 = max(stage1, key=lambda c: (c.val_acc, -c.hidden_size, -c.lag, -c.l2_coef))
         cells = [replace(s1, adv_weight=b, adv_scale=e)
                  for b, e in product(grid.adv_weights, grid.adv_scales)]
         stage2 = _evaluate_stage(cells, data_for_lag, replace(base_train, mode="adversarial"),
-                                 pool, children, ends, on_cell)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+                                 helpers, ends, on_cell)
     s2 = max(stage2, key=lambda c: (c.val_acc, -c.adv_weight, -c.adv_scale))
     return GridResult(stage1 + stage2, s1, s2)

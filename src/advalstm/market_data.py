@@ -37,7 +37,7 @@ from .errors import (
     MarketSemanticsWarning,
     ParseError,
 )
-from .forking import forked
+from .forking import forked, receive, reply
 
 CSV_COLUMNS = ("stock", "date", "open", "high", "low", "close", "adj_close", "volume")
 
@@ -337,15 +337,7 @@ def _serve_files(conn, files: list[Path]) -> None:
     turn, or the exception that stops it at the first failing file."""
     ordinals = {}  # date cell -> ordinal
     for f in files:
-        try:
-            reply = _read_csv(f, ordinals)
-        except Exception as exc:
-            reply = exc
-        try:
-            conn.send(reply)
-        except OSError:  # the caller has stopped listening
-            return
-        if isinstance(reply, Exception):
+        if reply(conn, _read_csv, f, ordinals) is None:
             return
 
 
@@ -375,12 +367,9 @@ def ingest_eod(path: str | Path, *, workers: int = 1) -> dict[str, EodSeries]:
     codes, ordinals, parts = {}, {}, []  # stock id -> code; date cell -> ordinal; file arrays
     with forked(_serve_files, [(files[p::procs],) for p in range(1, procs)]) as helpers:
         for first in range(0, len(files), procs):
-            replies = [_read_csv(files[first], ordinals)]
-            replies += [conn.recv() for conn in helpers[: len(files) - first - 1]]
-            for f, reply in zip(files[first:], replies):
-                if isinstance(reply, Exception):
-                    raise reply
-                stock_code, dates, values, stocks, unbounded, first_line = reply
+            for f, conn in zip(files[first:], [None, *helpers]):  # this process's file first
+                result = _read_csv(f, ordinals) if conn is None else receive(conn)
+                stock_code, dates, values, stocks, unbounded, first_line = result
                 if unbounded:
                     warnings.warn(f"{f}: {unbounded} row(s) where low/high do not bound "
                                   f"open/close (first at line {first_line})",

@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DivergenceError, NumericError, ShapeError
-from .forking import forked
+from .forking import forked, receive, reply, send
 from .model import (
     ForwardTrace,
     ModelDims,
@@ -388,21 +388,13 @@ def _serve_chunks(conn, objective, extra, x, y, dims: ModelDims) -> None:
     """A helper's loop: for each (row indices, parameter vector, scale)
     received, send back the chunk's (gradient vector, loss, clean hinge
     sum), or the exception it raised, until the caller closes its end."""
+
+    def work(idx, flat, scale):
+        grads, loss, hinge_sum = _chunk(objective, extra, x, y, idx, ParamSet(dims, flat), scale)
+        return grads.flat, loss, hinge_sum
+
     while True:
-        try:
-            idx, flat, scale = conn.recv()
-        except EOFError:
-            return
-        try:
-            grads, loss, hinge_sum = _chunk(objective, extra, x, y, idx,
-                                            ParamSet(dims, flat), scale)
-            reply = grads.flat, loss, hinge_sum
-        except Exception as exc:
-            reply = exc
-        try:
-            conn.send(reply)
-        except OSError:  # the caller has stopped listening
-            return
+        reply(conn, work, *conn.recv())
 
 
 def _chunked_gradient(objective, extra, x, y, idx, params: ParamSet, l2_coef: float,
@@ -420,7 +412,7 @@ def _chunked_gradient(objective, extra, x, y, idx, params: ParamSet, l2_coef: fl
     for first in range(0, len(chunks), len(helpers) + 1):
         rest = chunks[first + 1 : first + len(helpers) + 1]
         for conn, chunk in zip(helpers, rest):
-            conn.send((chunk, params.flat, scale))
+            send(conn, (chunk, params.flat, scale))
         grads, loss, hinge_sum = _chunk(objective, extra, x, y, chunks[first], params, scale)
         if first == 0:
             # The sum accumulates in chunk 0's gradients: building no
@@ -428,11 +420,7 @@ def _chunked_gradient(objective, extra, x, y, idx, params: ParamSet, l2_coef: fl
             # adam_step in the caller, as the benchmark's tracer reads it.
             step = grads
         results.append((grads.flat, loss, hinge_sum))
-        for conn in helpers[: len(rest)]:
-            reply = conn.recv()
-            if isinstance(reply, BaseException):
-                raise reply
-            results.append(reply)
+        results += map(receive, helpers[: len(rest)])
     flats, losses, sums = zip(*results)
     for flat in flats[1:]:
         step.flat += flat

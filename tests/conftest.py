@@ -11,7 +11,7 @@ from advalstm.synthetic import make_regime_examples
 
 @pytest.fixture(autouse=True)
 def no_child_outlives_a_test():
-    """A worker pool that outlives its call would hang a later run."""
+    """A forked helper that outlives its call would hang a later run."""
     yield
     assert multiprocessing.active_children() == []
 

@@ -60,6 +60,11 @@ BASE_KEYS = dict(
 )
 
 
+# What a command prints when a forked helper ends without replying.
+HELPER_DIED = ("error: a helper process ended without replying; it may have been killed, "
+               "for example for lack of memory")
+
+
 def write_config(path: Path, price_dir, out_dir, **overrides) -> Path:
     keys = dict(BASE_KEYS)
     keys["data.path"] = str(price_dir)
@@ -466,6 +471,23 @@ class TestTrainWorkers:
         assert multiprocessing.active_children() == []
 
 
+    def test_a_helper_that_dies_exits_2(self, big, monkeypatch, capsys):
+        cfg, _ = big
+        caller = os.getpid()
+        real_objective = training.objective_adversarial
+
+        def dying(*args, **kwargs):
+            if os.getpid() != caller:
+                os._exit(1)  # as a helper killed for lack of memory ends
+            return real_objective(*args, **kwargs)
+
+        monkeypatch.setattr(training, "objective_adversarial", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run("train", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.splitlines() == [HELPER_DIED]
+        assert multiprocessing.active_children() == []
+
+
 class TestBuildWorkers:
     """``build`` parses a directory's files in one process per usable CPU."""
 
@@ -538,6 +560,24 @@ class TestBuildWorkers:
         assert run("build", "--config", str(cfg)) == 2
         first = copy / files[bad[0]].name
         assert f"error: {first}:122: column 'open' is not a number" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+
+    def test_a_helper_that_dies_exits_2(self, market, tmp_path, monkeypatch, capsys):
+        _, prices = market
+        caller = os.getpid()
+        real_read_csv = market_data._read_csv
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(1)
+            return real_read_csv(*args)
+
+        monkeypatch.setattr(market_data, "_read_csv", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        assert run("build", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.splitlines() == [HELPER_DIED]
         assert multiprocessing.active_children() == []
 
 
@@ -655,6 +695,28 @@ class TestGrid:
         assert run("grid", "--config", str(grid_cfg)) == 3
         assert "non-finite loss in a worker" in capsys.readouterr().err
         assert not (out / "grid_results.csv").exists()
+
+    def test_a_helper_that_dies_exits_2(self, price_dir, built, monkeypatch, capsys):
+        cfg, out, base = built
+        parent = os.getpid()
+        real_evaluate_cell = gridsearch._evaluate_cell
+
+        def dying(data_for_lag, base_train, cell):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real_evaluate_cell(data_for_lag, base_train, cell)
+
+        monkeypatch.setattr(gridsearch, "_evaluate_cell", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid_cfg = write_config(
+            base / "dies.cfg", price_dir, out,
+            **{"grid.hidden_sizes": "4,8", "grid.lags": "2,5", "grid.l2_coefs": "0.01",
+               "grid.adv_weights": "0.01", "grid.adv_scales": "0.05", "grid.epochs": "2"},
+        )
+        assert run("grid", "--config", str(grid_cfg)) == 2
+        assert capsys.readouterr().err.splitlines() == [HELPER_DIED]
+        assert not (out / "grid_results.csv").exists()
+        assert multiprocessing.active_children() == []
 
     def test_bytes_do_not_depend_on_the_cpu_count(self, price_dir, built):
         cfg, out, base = built

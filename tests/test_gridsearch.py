@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import time
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 from advalstm import gridsearch
 from advalstm.errors import ContractError, DivergenceError
 from advalstm.evaluation import accuracy, mcc
+from advalstm.forking import forked
 from advalstm.gridsearch import GridSpec, grid_search
 from advalstm.model import classify, predict
 from advalstm.synthetic import make_regime_examples
@@ -313,3 +315,91 @@ class TestWorkers:
         counts = Counter(log.read_text().splitlines())
         assert len(counts) == grid.cell_count() and set(counts.values()) == {1}
         assert len(result.cells) == grid.cell_count()
+
+
+class TestHelpers:
+    """Each stage's cells reach ``on_cell`` as the helpers finish them, and
+    the helpers stop with the stage, however it ends."""
+
+    GRID = GridSpec(hidden_sizes=(4, 8, 16), lags=(2, 5, 15), l2_coefs=(0.01, 0.1),
+                    adv_weights=(0.01, 0.1), adv_scales=(0.01, 0.05))
+
+    def test_a_helpers_cells_reach_on_cell_one_at_a_time(self, monkeypatch):
+        # This process scores a cell every 60 ms and the helper one every
+        # 200 ms, so the helper finishes about four of stage one's 18 cells
+        # while this process is still scoring its own.
+        calls = []
+        pid_recording_search(monkeypatch, self.GRID, here_s=0.06, child_s=0.2, workers=2,
+                             on_cell=lambda cell: calls.append((cell, time.monotonic())))
+        helper = [t for cell, t in calls[:18] if cell.val_mcc != float(os.getpid())]
+        assert len(helper) >= 3
+        gaps = [b - a for a, b in zip(helper, helper[1:])]
+        assert min(gaps) > 0.1, gaps
+
+    @pytest.mark.parametrize("where, error", [
+        ("on_cell", RuntimeError), ("on_cell", KeyboardInterrupt), ("cell", DivergenceError),
+    ])
+    def test_a_raise_here_closes_the_queue(self, monkeypatch, tmp_path, where, error):
+        # The raise is caught while the helpers' pipes stay open, so only the
+        # closed queue can stop them claiming the rest of the stage.
+        parent = os.getpid()
+        log = tmp_path / "helper_cells.txt"
+        raised_at = []
+
+        def fake_evaluate_cell(data_for_lag, base, cell):
+            if os.getpid() == parent:
+                time.sleep(0.1)
+                if where == "cell" and cell.hidden_size * cell.lag >= 20:
+                    raised_at.append(time.monotonic())
+                    raise error("here")
+            else:
+                time.sleep(0.3)
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {time.monotonic()}\n")
+            return replace(cell, val_acc=50.0, val_mcc=float(os.getpid()))
+
+        def on_cell(cell):
+            if where == "on_cell" and cell.val_mcc != float(parent):  # a helper's first cell
+                raised_at.append(time.monotonic())
+                raise error("here")
+
+        monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
+        cells = [gridsearch.GridCell(u, t, 0.01) for u in (4, 8, 16) for t in (2, 5, 15)] * 2
+        ends = multiprocessing.get_context("fork").Array("q", 2)
+        with forked(gridsearch._serve_stages, [(easy_data_for_lag, ends)] * 2) as helpers:
+            with pytest.raises(error, match="here"):
+                gridsearch._evaluate_stage(cells, easy_data_for_lag, BASE, helpers, ends,
+                                           on_cell)
+            time.sleep(1.0)
+        finished = [line.split() for line in log.read_text().splitlines()]
+        after = Counter(pid for pid, t in finished if float(t) > raised_at[0])
+        # Each helper claimed no cell after the raise, though the stage had
+        # more than a second's worth left; it finished the one it held.
+        assert max(after.values(), default=0) <= 1 and len(finished) <= 4
+
+    def test_a_helpers_exception_carries_its_traceback(self, monkeypatch):
+        parent = os.getpid()
+
+        def fake_evaluate_cell(data_for_lag, base, cell):
+            if os.getpid() != parent:
+                raise DivergenceError("diverged in a helper")
+            time.sleep(0.05)
+            return replace(cell, val_acc=50.0, val_mcc=0.0)
+
+        monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
+        with pytest.raises(DivergenceError, match="diverged in a helper") as caught:
+            grid_search(self.GRID, easy_data_for_lag, BASE, workers=2)
+        assert "in fake_evaluate_cell" in str(caught.value.__cause__)
+
+    def test_a_helper_that_dies_raises_child_process_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def fake_evaluate_cell(data_for_lag, base, cell):
+            if os.getpid() != parent:
+                os._exit(1)
+            time.sleep(0.05)
+            return replace(cell, val_acc=50.0, val_mcc=0.0)
+
+        monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
+        with pytest.raises(ChildProcessError, match="ended without replying"):
+            grid_search(self.GRID, easy_data_for_lag, BASE, workers=3)

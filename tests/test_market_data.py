@@ -142,6 +142,14 @@ class TestIngest:
             f"(first at line 3)"]
         assert [w.filename for w in caught] == [__file__, __file__]
 
+    def test_a_helpers_error_keeps_its_traceback(self, tmp_path):
+        write_csv(tmp_path / "a.csv", [price_row("A", 0, 10)])
+        write_csv(tmp_path / "b.csv", ["B,2020-01-01,x,1,1,1,1,1"])  # the helper's
+        with pytest.raises(ParseError, match="b.csv:2: column 'open' is not a number") as caught:
+            ingest_eod(tmp_path, workers=2)
+        helper_traceback = str(caught.value.__cause__)
+        assert "in _read_csv" in helper_traceback and "ParseError: " in helper_traceback
+
     @pytest.mark.parametrize("bad", [None, 0, 3], ids=["clean", "caller", "helper"])
     @pytest.mark.parametrize("workers", [3, 8])
     def test_more_workers_than_cpus(self, tmp_path, workers, bad):

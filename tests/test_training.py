@@ -815,6 +815,24 @@ class TestTrainWorkers:
             train(x, y, x[:16], y[:16], small_dims, config, workers=2)
         assert multiprocessing.active_children() == []
 
+    def test_a_helpers_exception_keeps_its_traceback(self, small_dims, monkeypatch, data):
+        caller = os.getpid()
+        real_objective = training.objective_normal
+
+        def failing_in_the_helper(*args, **kwargs):
+            if os.getpid() != caller:
+                raise NumericError("non-finite chunk in the helper")
+            return real_objective(*args, **kwargs)
+
+        monkeypatch.setattr(training, "objective_normal", failing_in_the_helper)
+        x, y = data
+        config = TrainConfig(epochs=1, batch_size=1024, seed=1)
+        with pytest.raises(DivergenceError) as caught:
+            train(x, y, x[:16], y[:16], small_dims, config, workers=2)
+        helper_traceback = str(caught.value.__cause__.__cause__)
+        assert "in failing_in_the_helper" in helper_traceback
+        assert "NumericError: non-finite chunk in the helper" in helper_traceback
+
     # Each chunk runs without the L2 term, so only the whole step's loss
     # sees it overflow.  At l2 = 1e308 every chunk loss and the gradient
     # stay finite, and Adam would leave the parameters where they are.
