@@ -1,12 +1,15 @@
 """Helper processes forked for one call and joined before it returns.
 
-``training.train`` computes a minibatch's chunks in them,
-``market_data.ingest_eod`` parses a market's files and
-``gridsearch.grid_search`` scores each stage's cells.  Fork, whatever the
-platform default: a helper inherits its inputs, the one-thread BLAS pin
-and any wrapper installed on a module's functions without pickling
-anything.  Only the pipes' messages are pickled: the replies, ``train``'s
-chunk requests and ``grid_search``'s ``(base, queue)`` per stage.
+``training.train`` computes a minibatch's chunks in them and
+``market_data.ingest_eod`` parses a market's files, both through
+``serve`` and ``in_rounds``; ``gridsearch.grid_search`` scores each
+stage's cells.  Fork, whatever the platform default: a helper inherits
+its inputs, its work function, the one-thread BLAS pin and any wrapper
+installed on a module's functions without pickling anything.  Only the
+pipes' messages are pickled: the requests (``train``'s chunk row
+indices, parameter vector, scale and random-mode noise rows;
+``ingest_eod``'s file paths; ``grid_search``'s ``(base, queue)`` per
+stage) and the replies.
 """
 
 from __future__ import annotations
@@ -35,6 +38,34 @@ def reply(conn, work: Callable, *args):
         return None
     conn.send(result)
     return result
+
+
+def serve(conn, work: Callable) -> None:
+    """A helper's loop: reply to each request received with
+    ``work(*request)``, or the exception it raised, until the caller
+    closes its end."""
+    while True:
+        reply(conn, work, *conn.recv())
+
+
+def in_rounds(work: Callable, requests: list[tuple], helpers: list) -> Iterator:
+    """Yield ``work(*request)`` for each of ``requests``, in their order.
+
+    Request k runs in process k mod P, where process 0 is this one and
+    the others are ``helpers``, each running ``serve`` on the same work.
+    Requests go out a round of P at a time, so a helper has at most one
+    in flight: it never blocks sending a reply while this process blocks
+    sending it a request.  An exception, this process's or a helper's,
+    is raised at its request's turn.
+    """
+    procs = len(helpers) + 1
+    for first in range(0, len(requests), procs):
+        rest = requests[first + 1 : first + procs]
+        for conn, request in zip(helpers, rest):
+            send(conn, request)
+        yield work(*requests[first])
+        for conn in helpers[: len(rest)]:
+            yield receive(conn)
 
 
 def send(conn, message) -> None:

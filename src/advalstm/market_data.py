@@ -37,7 +37,7 @@ from .errors import (
     MarketSemanticsWarning,
     ParseError,
 )
-from .forking import forked, receive, reply
+from .forking import forked, in_rounds, serve
 
 CSV_COLUMNS = ("stock", "date", "open", "high", "low", "close", "adj_close", "volume")
 
@@ -332,15 +332,6 @@ def _read_csv(path: Path, ordinals: dict[str, int]) -> tuple[
     return stock_code, dates, values, list(codes), unbounded.size, first_line
 
 
-def _serve_files(conn, files: list[Path]) -> None:
-    """A helper's loop: send back ``_read_csv``'s result for each file in
-    turn, or the exception that stops it at the first failing file."""
-    ordinals = {}  # date cell -> ordinal
-    for f in files:
-        if reply(conn, _read_csv, f, ordinals) is None:
-            return
-
-
 def ingest_eod(path: str | Path, *, workers: int = 1) -> dict[str, EodSeries]:
     """Read one CSV file (or every ``*.csv`` in a directory) into
     date-sorted series, in sorted stock order.
@@ -363,19 +354,21 @@ def ingest_eod(path: str | Path, *, workers: int = 1) -> dict[str, EodSeries]:
     if not files:
         raise DataError(f"no .csv files under {path}")
 
-    procs = max(1, min(workers, len(files)))
     codes, ordinals, parts = {}, {}, []  # stock id -> code; date cell -> ordinal; file arrays
-    with forked(_serve_files, [(files[p::procs],) for p in range(1, procs)]) as helpers:
-        for first in range(0, len(files), procs):
-            for f, conn in zip(files[first:], [None, *helpers]):  # this process's file first
-                result = _read_csv(f, ordinals) if conn is None else receive(conn)
-                stock_code, dates, values, stocks, unbounded, first_line = result
-                if unbounded:
-                    warnings.warn(f"{f}: {unbounded} row(s) where low/high do not bound "
-                                  f"open/close (first at line {first_line})",
-                                  MarketSemanticsWarning, stacklevel=2)
-                code = np.array([codes.setdefault(s, len(codes)) for s in stocks], np.intp)
-                parts.append((code[stock_code], dates, values))
+
+    def parse(f: Path):  # each process fills its own copy of ``ordinals``
+        return _read_csv(f, ordinals)
+
+    requests = [(f,) for f in files]
+    with forked(serve, [(parse,)] * (min(workers, len(files)) - 1)) as helpers:
+        for (f,), result in zip(requests, in_rounds(parse, requests, helpers)):
+            stock_code, dates, values, stocks, unbounded, first_line = result
+            if unbounded:
+                warnings.warn(f"{f}: {unbounded} row(s) where low/high do not bound "
+                              f"open/close (first at line {first_line})",
+                              MarketSemanticsWarning, stacklevel=2)
+            code = np.array([codes.setdefault(s, len(codes)) for s in stocks], np.intp)
+            parts.append((code[stock_code], dates, values))
     stock_code, dates, values = map(np.concatenate, zip(*parts))
     del parts  # not held through the sort, which is ingest's memory peak
     if not codes:

@@ -19,7 +19,7 @@ differ only in the perturbation r:
   ||w_head||: the perturbed term is the active rows' hinge with every
   margin y * yhat shifted down by eps * ||w_head||;
 - "random_perturbation": a uniform draw from the eps-sphere on every
-  row (``sphere_noise``).
+  row (``sphere_noise``), which ``train`` makes for a whole minibatch.
 
 The perturbation is a constant during differentiation: gradients flow
 through e into the network but not through r's dependence on w_head.
@@ -27,8 +27,8 @@ So the perturbed term's upstream gradient joins the clean one in one
 ``backward`` call, and w_head alone gains a term, the rows' sum of that
 gradient times r.  Batch sums are scaled by (train-set size / batch
 size) so the L2 term keeps the same relative weight at any batch size.
-A minibatch of more than ``STEP_ROWS`` rows takes its gradient as the
-sum of fixed chunks of that many rows (see ``train``).
+In every mode, a minibatch takes its gradient as the sum of fixed chunks
+of at most ``STEP_ROWS`` rows (see ``train``).
 
 The attack (``attacked_confidences``) is the same margin shift at test
 time: the clean confidences, moved by -y * eps * ||w_head|| on the rows
@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DivergenceError, NumericError, ShapeError
-from .forking import forked, receive, reply, send
+from .forking import forked, in_rounds, serve
 from .model import (
     ForwardTrace,
     ModelDims,
@@ -280,15 +280,17 @@ def objective_random(
     params: ParamSet,
     l2_coef: float,
     adv_weight: float,
-    adv_scale: float,
-    rng: np.random.Generator,
+    r: np.ndarray,
     scale: float = 1.0,
     *, _hinge_sums: list[float] | None = None,
 ) -> tuple[float, ParamSet]:
-    """Clean + random-perturbation objective (every example perturbed)."""
+    """Clean + random-perturbation objective: every example's e is
+    perturbed by its row of ``r``, shaped like e (a ``sphere_noise``
+    draw in training)."""
     y = _batch_labels(y, np.shape(x)[:-2])
     trace = forward(x, params)
-    r = sphere_noise(trace.e.shape, adv_scale, rng)
+    if np.shape(r) != trace.e.shape:
+        raise ShapeError(f"r has shape {np.shape(r)}, but e has shape {trace.e.shape}")
     return _objective(trace, y, params, l2_coef, scale, adv_weight, r, _hinge_sums=_hinge_sums)
 
 
@@ -376,62 +378,6 @@ def _mean_hinge(
     return loss, acc, yhat
 
 
-def _chunk(objective, extra, x, y, idx, params: ParamSet, scale: float):
-    """(gradients, loss, clean hinge sum) of the rows ``idx``, without the
-    L2 term."""
-    hinge_sums: list[float] = []
-    loss, grads = objective(x[idx], y[idx], params, 0.0, *extra, scale, _hinge_sums=hinge_sums)
-    return grads, loss, hinge_sums[0]
-
-
-def _serve_chunks(conn, objective, extra, x, y, dims: ModelDims) -> None:
-    """A helper's loop: for each (row indices, parameter vector, scale)
-    received, send back the chunk's (gradient vector, loss, clean hinge
-    sum), or the exception it raised, until the caller closes its end."""
-
-    def work(idx, flat, scale):
-        grads, loss, hinge_sum = _chunk(objective, extra, x, y, idx, ParamSet(dims, flat), scale)
-        return grads.flat, loss, hinge_sum
-
-    while True:
-        reply(conn, work, *conn.recv())
-
-
-def _chunked_gradient(objective, extra, x, y, idx, params: ParamSet, l2_coef: float,
-                      scale: float, helpers: list, hinge_sums: list[float]) -> ParamSet:
-    """The gradient of one minibatch of more than ``STEP_ROWS`` rows.
-
-    Chunk k of the batch runs in process k mod P, where process 0 is
-    this one and the others are ``helpers``, a round of P chunks at a
-    time.  The chunk gradients are summed in chunk order and the L2 term
-    is added once, so the bits do not depend on P.  Raises NumericError
-    when the whole batch's loss, L2 term included, is non-finite.
-    """
-    chunks = [idx[s : s + STEP_ROWS] for s in range(0, idx.size, STEP_ROWS)]
-    results = []  # (gradient vector, loss, clean hinge sum) per chunk
-    for first in range(0, len(chunks), len(helpers) + 1):
-        rest = chunks[first + 1 : first + len(helpers) + 1]
-        for conn, chunk in zip(helpers, rest):
-            send(conn, (chunk, params.flat, scale))
-        grads, loss, hinge_sum = _chunk(objective, extra, x, y, chunks[first], params, scale)
-        if first == 0:
-            # The sum accumulates in chunk 0's gradients: building no
-            # ParamSet here keeps each step one objective call followed by
-            # adam_step in the caller, as the benchmark's tracer reads it.
-            step = grads
-        results.append((grads.flat, loss, hinge_sum))
-        results += map(receive, helpers[: len(rest)])
-    flats, losses, sums = zip(*results)
-    for flat in flats[1:]:
-        step.flat += flat
-    if l2_coef:
-        step.flat += l2_coef * params.flat
-    hinge_sums.extend(sums)
-    if not np.isfinite(sum(losses) + 0.5 * l2_coef * params.l2_norm_sq()):
-        raise NumericError("objective is non-finite")
-    return step
-
-
 def train(
     x_train: np.ndarray,
     y_train: np.ndarray,
@@ -461,16 +407,18 @@ def train(
     parameters are returned and patience never fires.  Raises
     DivergenceError when the loss or the parameters stop being finite.
 
-    A minibatch of at most ``STEP_ROWS`` rows takes one objective call.
-    A larger one, in "normal" and "adversarial" mode, is cut into chunks
-    of ``STEP_ROWS`` rows, each evaluated without the L2 term; the step's
-    gradient is their sum in chunk order plus the L2 term (see
-    ``_chunked_gradient``).  ``workers`` counts the processes that
-    compute chunks, this one included; the others are forked once per
-    call, only when a batch has chunks for them, and each gathers its
-    chunks' rows itself.  No result depends on ``workers``.
-    "random_perturbation" mode always takes one call per step in this
-    process, since its noise comes from the one generator here.
+    Every minibatch, in every mode, is cut into chunks of ``STEP_ROWS``
+    rows, so one of at most ``STEP_ROWS`` rows is one chunk.  Each chunk
+    calls the mode's ``objective_*`` without the L2 term; the step's
+    gradient is the chunks' sum in chunk order plus the L2 term, and the
+    step raises NumericError when the whole batch's loss is non-finite.
+    In "random_perturbation" mode this process draws the whole batch's
+    ``sphere_noise`` once per step, before the chunks, and each chunk
+    takes its rows of it.  ``workers`` counts the processes that compute
+    chunks, this one included: chunk k runs in process k mod P (see
+    ``forking.in_rounds``), and the others are forked once per call, only
+    when a batch has chunks for them; each gathers its chunks' rows
+    itself.  No result depends on ``workers``.
     """
     for split, x, y in (("train", x_train, y_train), ("validation", x_val, y_val)):
         if len(x) != len(y):
@@ -490,8 +438,19 @@ def train(
     objective, extra = {
         "normal": (objective_normal, ()),
         "adversarial": (objective_adversarial, (config.adv_weight, config.adv_scale)),
-        "random_perturbation": (objective_random, (config.adv_weight, config.adv_scale, rng)),
+        "random_perturbation": (objective_random, (config.adv_weight,)),
     }[config.mode]
+
+    def chunk(idx, flat, scale, *noise):
+        """(gradient vector, loss, clean hinge sum) of the rows ``idx`` at
+        the parameter vector ``flat``, without the L2 term; ``noise`` holds
+        those rows' perturbation in random mode."""
+        if flat is not params.flat:  # in a helper, whose params are its own copy
+            params.flat[...] = flat
+        hinge_sums: list[float] = []
+        loss, grads = objective(x_train[idx], y_train[idx], params, 0.0, *extra, *noise, scale,
+                                _hinge_sums=hinge_sums)
+        return grads.flat, loss, hinge_sums[0]
 
     best_params = params.copy()
     best_epoch = 0
@@ -499,10 +458,9 @@ def train(
     best_val_yhat = None
     history: list[EpochRecord] = []
 
-    chunked = config.mode != "random_perturbation"
-    chunks = -(-min(config.batch_size, n) // STEP_ROWS) if chunked else 1
-    helper_args = [(objective, extra, x_train, y_train, dims)] * (min(workers, chunks) - 1)
-    with forked(_serve_chunks, helper_args) as helpers:
+    chunks = -(-min(config.batch_size, n) // STEP_ROWS)
+    grads = params.zeros_like()  # each step's gradient, summed here in chunk order
+    with forked(serve, [(chunk,)] * (min(workers, chunks) - 1)) as helpers:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
             hinge_sums: list[float] = []
@@ -510,12 +468,20 @@ def train(
                 for start in range(0, n, config.batch_size):
                     idx = order[start : start + config.batch_size]
                     scale = scale_total / idx.size
-                    if chunked and idx.size > STEP_ROWS:
-                        grads = _chunked_gradient(objective, extra, x_train, y_train, idx, params,
-                                                  config.l2_coef, scale, helpers, hinge_sums)
-                    else:
-                        _, grads = objective(x_train[idx], y_train[idx], params, config.l2_coef,
-                                             *extra, scale, _hinge_sums=hinge_sums)
+                    noise = ([sphere_noise((idx.size, *params.w_head.shape), config.adv_scale, rng)]
+                             if config.mode == "random_perturbation" else [])
+                    requests = [(idx[s : s + STEP_ROWS], params.flat, scale,
+                                 *(r[s : s + STEP_ROWS] for r in noise))
+                                for s in range(0, idx.size, STEP_ROWS)]
+                    flats, losses, sums = zip(*in_rounds(chunk, requests, helpers))
+                    grads.flat[...] = flats[0]
+                    for flat in flats[1:]:
+                        grads.flat += flat
+                    if config.l2_coef:
+                        grads.flat += config.l2_coef * params.flat
+                    hinge_sums += sums
+                    if not np.isfinite(sum(losses) + 0.5 * config.l2_coef * params.l2_norm_sq()):
+                        raise NumericError("objective is non-finite")
                     params, state = adam_step(params, grads, state, config.learning_rate)
                 val_loss, val_acc, val_yhat = _mean_hinge(x_val, y_val, params)
             except NumericError as exc:

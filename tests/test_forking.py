@@ -1,4 +1,5 @@
-"""forking.forked with toy helpers: replies, errors, dead helpers and joins."""
+"""forking.forked, serve and in_rounds with toy helpers: replies, order, errors,
+dead helpers and joins."""
 
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import advalstm
-from advalstm.forking import forked, receive, reply, send
+from advalstm.forking import forked, in_rounds, receive, send, serve
 
 
 def double(x):
@@ -22,10 +23,14 @@ def fail(x):
     raise ValueError(f"no good: {x}")
 
 
-def serve(conn, work):
-    """Answer each (x,) received with ``work(x)``."""
-    while True:
-        reply(conn, work, *conn.recv())
+def with_pid(x):
+    return x, os.getpid()
+
+
+def fail_at_5(x):
+    if x == 5:
+        raise ValueError(f"no good: {x}")
+    return x
 
 
 def exit_at_once(conn, code):
@@ -53,6 +58,37 @@ class TestReplies:
     def test_no_helpers_no_pipes(self):
         with forked(serve, []) as helpers:
             assert helpers == []
+
+
+class TestInRounds:
+    @pytest.mark.parametrize("count", [2, 9], ids=["fewer-requests", "more-requests"])
+    @pytest.mark.parametrize("helper_count", [0, 1, 2, 3])
+    def test_request_k_runs_in_process_k_mod_p(self, helper_count, count):
+        procs = helper_count + 1
+        with forked(serve, [(with_pid,)] * helper_count) as helpers:
+            results = list(in_rounds(with_pid, [(x,) for x in range(count)], helpers))
+        assert [x for x, _ in results] == list(range(count))
+        pids = [pid for _, pid in results]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == min(procs, count)
+        assert pids == [pids[k % procs] for k in range(count)]
+
+    @pytest.mark.parametrize("helper_count", [0, 1, 2, 3])
+    def test_an_exception_is_raised_at_its_turn(self, helper_count):
+        # 5 runs in process 5 mod P: the caller at P = 1, a helper otherwise.
+        seen = []
+        with forked(serve, [(fail_at_5,)] * helper_count) as helpers:
+            with pytest.raises(ValueError, match="^no good: 5$"):
+                for x in in_rounds(fail_at_5, [(x,) for x in range(9)], helpers):
+                    seen.append(x)
+        assert seen == [0, 1, 2, 3, 4]
+        assert multiprocessing.active_children() == []
+
+    def test_helpers_are_joined_when_the_consumer_stops_early(self):
+        with forked(serve, [(time.sleep,)] * 3) as helpers:
+            for _ in in_rounds(time.sleep, [(0.1,)] * 8, helpers):
+                break  # the other three requests of the round are still running
+        assert multiprocessing.active_children() == []
 
 
 class TestErrors:

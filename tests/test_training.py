@@ -250,10 +250,8 @@ class TestAdversarialObjective:
 
     def test_random_objective_perturbs_every_example(self, small_params, small_batch):
         x, y = small_batch
-        loss_r, _ = objective_random(
-            x, y, small_params, 0.0, adv_weight=1.0, adv_scale=0.05,
-            rng=np.random.default_rng(0),
-        )
+        r = sphere_noise((len(y), small_params.w_head.size), 0.05, np.random.default_rng(0))
+        loss_r, _ = objective_random(x, y, small_params, 0.0, adv_weight=1.0, r=r)
         loss_n, _ = objective_normal(x, y, small_params, 0.0)
         # every example contributes a perturbed hinge, so the loss moves
         assert loss_r != loss_n
@@ -321,7 +319,7 @@ class TestPerturbedGradcheck:
         assert margins_clear_of_kink(y, trace.yhat)
         assert margins_clear_of_kink(y, trace.yhat + r @ params.w_head)
         self.check(
-            lambda p: objective_random(x, y, p, 0.01, 0.5, 0.1, np.random.default_rng(3)),
+            lambda p: objective_random(x, y, p, 0.01, 0.5, r),
             params, coords, atol,
         )
 
@@ -350,7 +348,8 @@ LABELLED_ENTRY_POINTS = {
     "objective_normal": lambda x, y, p: objective_normal(x, y, p, 0.01),
     "objective_adversarial": lambda x, y, p: objective_adversarial(x, y, p, 0.01, 0.5, 0.05),
     "objective_random": lambda x, y, p: objective_random(
-        x, y, p, 0.01, 0.5, 0.05, np.random.default_rng(0)
+        x, y, p, 0.01, 0.5,
+        sphere_noise((*np.shape(x)[:-2], p.w_head.size), 0.05, np.random.default_rng(0)),
     ),
     "objective_adversarial_frozen": _frozen,
     "adversarial_perturbations": lambda x, y, p: adversarial_perturbations(
@@ -379,6 +378,13 @@ class TestLabelShape:
         for rb, mb in ((r[:1], mask), (r[:, :-1], mask), (r, mask[:1]), (r, mask[:, None])):
             with pytest.raises(ShapeError):
                 objective_adversarial_frozen(x, y, small_params, rb, mb, 0.01, 0.5)
+
+    def test_random_perturbation_must_match_the_batch(self, small_params, small_batch):
+        x, y = small_batch
+        r = np.zeros((len(y), small_params.w_head.size))
+        for rb in (r[:1], r[:, :-1], r[0], r[..., None]):
+            with pytest.raises(ShapeError):
+                objective_random(x, y, small_params, 0.01, 0.5, rb)
 
     @pytest.mark.parametrize("entry", [name for name in LABELLED_ENTRY_POINTS
                                        if name.startswith("objective_")])
@@ -756,8 +762,8 @@ class TestTrainWorkers:
                                  on_epoch=lambda r: alive.append(multiprocessing.active_children()),
                                  workers=workers))
             # One helper per further worker that a batch has a chunk for,
-            # forked once per call; random mode never forks.
-            helpers = 0 if mode == "random_perturbation" else min(workers, chunks) - 1
+            # forked once per call, in every mode.
+            helpers = min(workers, chunks) - 1
             assert [len(a) for a in alive] == [helpers] * 2 and alive[0] == alive[1]
             assert multiprocessing.active_children() == []
         first = results[0]
@@ -767,20 +773,26 @@ class TestTrainWorkers:
             assert other.val_yhat.tobytes() == first.val_yhat.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("mode", ["normal", "adversarial"])
+    @pytest.mark.parametrize("mode", training.MODES)
     def test_a_chunked_step_matches_the_whole_batch(self, small_dims, monkeypatch, mode,
                                                      workers):
         # Oracle: the public objective over the whole 1,000-row batch (512 +
-        # 488 rows in chunks), at the parameters each step saw.
+        # 488 rows in chunks), at the parameters each step saw and, in
+        # random mode, with the noise the step drew.
         x, y = make_regime_examples(1000, lag=3, seed=8, label_noise=0.3)
-        seen = []
-        real_step = training.adam_step
+        seen, draws = [], []
+        real_step, real_noise = training.adam_step, training.sphere_noise
 
         def snapshot_step(params, grads, *args, **kwargs):
             seen.append((params.copy(), grads.copy()))
             return real_step(params, grads, *args, **kwargs)
 
+        def recording_noise(*args):
+            draws.append(real_noise(*args))
+            return draws[-1]
+
         monkeypatch.setattr(training, "adam_step", snapshot_step)
+        monkeypatch.setattr(training, "sphere_noise", recording_noise)
         config = TrainConfig(mode=mode, epochs=2, batch_size=1024, seed=5, patience=0,
                              l2_coef=0.01, adv_weight=0.5, adv_scale=0.05)
         result = train(x, y, x[:16], y[:16], small_dims, config, workers=workers)
@@ -788,14 +800,40 @@ class TestTrainWorkers:
         objective, extra = {
             "normal": (objective_normal, ()),
             "adversarial": (objective_adversarial, (config.adv_weight, config.adv_scale)),
+            "random_perturbation": (objective_random, (config.adv_weight,)),
         }[mode]
         assert len(seen) == len(result.history) == 2
-        for (params, grads), record in zip(seen, result.history):
+        assert len(draws) == (2 if mode == "random_perturbation" else 0)
+        # Replay train's generator: the initialization, then per step the
+        # epoch's order and, in random mode, the noise, drawn once per step.
+        rng = np.random.default_rng(config.seed)
+        init_params(small_dims, rng)
+        for step, ((params, grads), record) in enumerate(zip(seen, result.history)):
+            order = rng.permutation(len(y))
+            noise = draws[step : step + 1]
+            for r in noise:
+                assert r.shape == (len(y), params.w_head.size)
+                np.testing.assert_array_equal(real_noise(r.shape, config.adv_scale, rng), r)
             hinge_sums = []
-            _, expected = objective(x, y, params, config.l2_coef, *extra, 1.0,
-                                    _hinge_sums=hinge_sums)
+            _, expected = objective(x[order], y[order], params, config.l2_coef, *extra, *noise,
+                                    1.0, _hinge_sums=hinge_sums)
             assert max_relative_error(grads.flat, expected.flat) < 1e-12
             assert record.train_loss == pytest.approx(hinge_sums[0] / len(y), rel=1e-12)
+
+    def test_many_chunks_per_helper_in_one_step(self):
+        # At batch 8,192 a step has 16 chunks, so at 2 workers a helper
+        # takes 8 per step.  At hidden and map size 32 each request carries
+        # a 79 KB parameter vector and each reply a 79 KB gradient.  A
+        # caller that sent all 8 at once would block on a full pipe while
+        # the helper blocks sending replies that nobody reads.
+        x, y = make_regime_examples(8192, lag=3, seed=6, label_noise=0.3)
+        dims = ModelDims(feat_dim=x.shape[-1], map_size=32, hidden_size=32)
+        config = TrainConfig(epochs=2, batch_size=8192, seed=5, patience=0)
+        first, *others = [train(x, y, x[:64], y[:64], dims, config, workers=workers)
+                          for workers in (1, 2, 3)]
+        for other in others:
+            assert other.params.flat.tobytes() == first.params.flat.tobytes()
+            assert other.history == first.history
 
     @pytest.mark.parametrize("where", ["helper", "caller"])
     def test_a_raise_in_a_chunk_diverges_and_leaves_no_process(self, small_dims, monkeypatch,
