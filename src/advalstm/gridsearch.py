@@ -9,8 +9,8 @@ parameter order, so the search is deterministic.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product, starmap
 from typing import Callable
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError
 from .evaluation import accuracy, mcc
-from .forking import forked, receive, reply, send
+from .forking import forked
 from .model import ModelDims, classify
 from .training import TrainConfig, train
 
@@ -87,92 +87,16 @@ def _evaluate_cell(data_for_lag: DataForLag, base: TrainConfig, cell: GridCell) 
     return replace(cell, val_acc=accuracy(y_val, pred), val_mcc=mcc(y_val, pred))
 
 
-class _Ends(list):
-    """A queue's two ends, held by this process alone."""
-
-    def get_lock(self):
-        return nullcontext()
-
-
-def _claim(ends, cheap: bool) -> int | None:
-    """Take the queue position at one end of ``[ends[0], ends[1])``; None
-    once the ends have met."""
-    with ends.get_lock():
-        lo, hi = ends
-        if lo >= hi:
-            return None
-        if cheap:
-            ends[0] = lo + 1
-            return lo
-        ends[1] = hi - 1
-        return hi - 1
-
-
-def _serve_stages(conn, data_for_lag: DataForLag, ends) -> None:
-    """A helper's loop: for each (base, queue) received, send back the
-    (position, cell) of each cell that it claims at the queue's expensive
-    end and scores, then None once the ends have met.  A cell that raises
-    closes the queue, and its exception is sent back instead."""
-
-    def score(base: TrainConfig, queue: list[GridCell]) -> tuple[int, GridCell] | None:
-        k = _claim(ends, cheap=False)
-        try:
-            return None if k is None else (k, _evaluate_cell(data_for_lag, base, queue[k]))
-        except BaseException:
-            ends[:] = [0, 0]  # the ends meet, so every process stops after its current cell
-            raise
-
-    while True:
-        base, queue = conn.recv()
-        while reply(conn, score, base, queue) is not None:
-            pass
-
-
-def _evaluate_stage(cells: list[GridCell], data_for_lag: DataForLag, base: TrainConfig,
-                    helpers: list, ends, on_cell: Callable[[GridCell], None] | None,
-                    ) -> list[GridCell]:
-    """Every cell of one stage, scored, in the order given.
-
-    The cells queue up cheapest (hidden x lag) first.  This process
-    claims the cheapest cell before any helper can start, then takes
-    cells from the cheap end of ``ends`` while each helper takes them
-    from the expensive end, each as soon as it is free, until the ends
-    meet.  So no CPU idles while a cell is unclaimed, this process scores
-    at least one cell per stage, and the largest cells run in the
-    helpers.  ``on_cell`` runs here, for a helper's cell as soon as this
-    process is between cells.  Any raise closes the queue.
-    """
+def _evaluate_stage(share, cells: list[GridCell], base: TrainConfig,
+                    on_cell: Callable[[GridCell], None] | None) -> list[GridCell]:
+    """Every cell of one stage, scored through ``share`` in ``base.mode``,
+    in the order given.  The cells queue up cheapest (hidden x lag) first,
+    so this process scores the cheapest cell and the largest cells run in
+    the helpers; ``on_cell`` runs here as each cell arrives."""
     order = sorted(range(len(cells)), key=lambda i: cells[i].hidden_size * cells[i].lag)
-    queue = [cells[i] for i in order]
     done: list[GridCell | None] = [None] * len(cells)
-    busy = list(helpers)  # those that may still claim from ``ends``: each until it sends None
-
-    def take(k: int, cell: GridCell) -> None:
-        done[order[k]] = cell
-        if on_cell is not None:
-            on_cell(cell)
-
-    def collect(wait: bool) -> None:
-        for conn in helpers:
-            while conn in busy and (wait or conn.poll()):
-                if (result := receive(conn)) is None:
-                    busy.remove(conn)
-                else:
-                    take(*result)
-
-    try:
-        ends[:] = [1, len(queue)]  # this process holds queue[0]
-        for conn in helpers:
-            send(conn, (base, queue))
-        k = 0
-        while k is not None:
-            take(k, _evaluate_cell(data_for_lag, base, queue[k]))
-            collect(wait=False)
-            k = _claim(ends, cheap=True)
-        collect(wait=True)
-    except BaseException:
-        ends[:] = [0, 0]
-        raise
+    for i, cell in zip(order, share([(base, cells[i]) for i in order], on_cell)):
+        done[i] = cell
     return done
 
 
@@ -186,27 +110,19 @@ def grid_search(grid: GridSpec, data_for_lag: DataForLag, base_train: TrainConfi
     ``base_train.mode``, stage two uses adversarial mode.  ``workers``
     counts the processes that train cells, this one included.  The
     others are forked once per call, so they inherit ``data_for_lag``
-    instead of receiving it pickled, and each stage shares its cells out
-    through one two-ended queue (see ``_evaluate_stage``).  The result
-    does not depend on ``workers``.
+    instead of receiving it pickled, and each stage's cells are shared
+    out by ``forking.forked``, cheapest first.  The result, and the error
+    of the first failing cell in that order, do not depend on ``workers``.
     """
     stage1_cells = list(starmap(GridCell, product(grid.hidden_sizes, grid.lags, grid.l2_coefs)))
     stage_sizes = (len(stage1_cells), len(grid.adv_weights) * len(grid.adv_scales))
     # This process scores cells too, and no stage has cells for more processes.
     children = min(workers, max(stage_sizes)) - 1
-    if children > 0:
-        import multiprocessing  # here, so that a serial run holds no multiprocessing modules
-
-        ends = multiprocessing.get_context("fork").Array("q", 2)  # the helpers inherit it
-    else:
-        ends = _Ends([0, 0])
-    with forked(_serve_stages, [(data_for_lag, ends)] * children) as helpers:
-        stage1 = _evaluate_stage(stage1_cells, data_for_lag, replace(base_train, mode="normal"),
-                                 helpers, ends, on_cell)
+    with forked(partial(_evaluate_cell, data_for_lag), children) as share:
+        stage1 = _evaluate_stage(share, stage1_cells, replace(base_train, mode="normal"), on_cell)
         s1 = max(stage1, key=lambda c: (c.val_acc, -c.hidden_size, -c.lag, -c.l2_coef))
         cells = [replace(s1, adv_weight=b, adv_scale=e)
                  for b, e in product(grid.adv_weights, grid.adv_scales)]
-        stage2 = _evaluate_stage(cells, data_for_lag, replace(base_train, mode="adversarial"),
-                                 helpers, ends, on_cell)
+        stage2 = _evaluate_stage(share, cells, replace(base_train, mode="adversarial"), on_cell)
     s2 = max(stage2, key=lambda c: (c.val_acc, -c.adv_weight, -c.adv_scale))
     return GridResult(stage1 + stage2, s1, s2)

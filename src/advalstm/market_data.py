@@ -37,7 +37,7 @@ from .errors import (
     MarketSemanticsWarning,
     ParseError,
 )
-from .forking import forked, in_rounds, serve
+from .forking import forked
 
 CSV_COLUMNS = ("stock", "date", "open", "high", "low", "close", "adj_close", "volume")
 
@@ -341,11 +341,12 @@ def ingest_eod(path: str | Path, *, workers: int = 1) -> dict[str, EodSeries]:
     (stock, date) pairs, or no data rows at all.  Warns once per file with
     rows where low/high do not bound open/close (MarketSemanticsWarning).
 
-    ``workers`` counts the processes that parse files, this one included:
-    file k of the sorted list is parsed in process k mod P, with
-    P = min(workers, files), and the others are forked once per call.
-    Their results are taken in file order, so the series, the first error
-    and the warnings are those of a serial read whatever ``workers`` is.
+    ``workers`` counts the processes that parse files, this one included;
+    the others are forked once per call, at most one per file after the
+    first, and the files are shared out by ``forking.forked``.  Their
+    results are taken in file order, and no file after a failing one is
+    started once its failure is known, so the series, the first error and
+    the warnings are those of a serial read whatever ``workers`` is.
     """
     path = Path(path)
     if not path.exists():
@@ -359,9 +360,8 @@ def ingest_eod(path: str | Path, *, workers: int = 1) -> dict[str, EodSeries]:
     def parse(f: Path):  # each process fills its own copy of ``ordinals``
         return _read_csv(f, ordinals)
 
-    requests = [(f,) for f in files]
-    with forked(serve, [(parse,)] * (min(workers, len(files)) - 1)) as helpers:
-        for (f,), result in zip(requests, in_rounds(parse, requests, helpers)):
+    with forked(parse, min(workers, len(files)) - 1) as share:
+        for f, result in zip(files, share([(f,) for f in files])):
             stock_code, dates, values, stocks, unbounded, first_line = result
             if unbounded:
                 warnings.warn(f"{f}: {unbounded} row(s) where low/high do not bound "

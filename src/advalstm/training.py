@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DivergenceError, NumericError, ShapeError
-from .forking import forked, in_rounds, serve
+from .forking import forked
 from .model import (
     ForwardTrace,
     ModelDims,
@@ -415,9 +415,9 @@ def train(
     In "random_perturbation" mode this process draws the whole batch's
     ``sphere_noise`` once per step, before the chunks, and each chunk
     takes its rows of it.  ``workers`` counts the processes that compute
-    chunks, this one included: chunk k runs in process k mod P (see
-    ``forking.in_rounds``), and the others are forked once per call, only
-    when a batch has chunks for them; each gathers its chunks' rows
+    chunks, this one included; the others are forked once per call, only
+    when a batch has chunks for them, and each step's chunks are shared
+    out by ``forking.forked``.  Each process gathers its chunks' rows
     itself.  No result depends on ``workers``.
     """
     for split, x, y in (("train", x_train, y_train), ("validation", x_val, y_val)):
@@ -460,7 +460,7 @@ def train(
 
     chunks = -(-min(config.batch_size, n) // STEP_ROWS)
     grads = params.zeros_like()  # each step's gradient, summed here in chunk order
-    with forked(serve, [(chunk,)] * (min(workers, chunks) - 1)) as helpers:
+    with forked(chunk, min(workers, chunks) - 1) as share:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
             hinge_sums: list[float] = []
@@ -473,7 +473,7 @@ def train(
                     requests = [(idx[s : s + STEP_ROWS], params.flat, scale,
                                  *(r[s : s + STEP_ROWS] for r in noise))
                                 for s in range(0, idx.size, STEP_ROWS)]
-                    flats, losses, sums = zip(*in_rounds(chunk, requests, helpers))
+                    flats, losses, sums = zip(*share(requests))
                     grads.flat[...] = flats[0]
                     for flat in flats[1:]:
                         grads.flat += flat

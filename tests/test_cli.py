@@ -493,8 +493,8 @@ class TestBuildWorkers:
 
     @pytest.fixture(scope="class")
     def market(self, tmp_path_factory):
-        """Four one-stock files; the second and fourth, which a second
-        process parses, each hold a row whose high is below its open."""
+        """Four one-stock files; the second and fourth each hold a row
+        whose high is below its open."""
         base = tmp_path_factory.mktemp("build-workers")
         prices = base / "prices"
         symbols = write_regime_price_csv(prices, n_stocks=4, n_days=120, seed=11)
@@ -545,14 +545,14 @@ class TestBuildWorkers:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("bad", [(0,), (1,), (3,), (1, 2), (2, 3)],
-                             ids=["caller", "helper", "helper-last", "helper-first", "caller-first"])
+                             ids=["file-0", "file-1", "file-3", "files-1-2", "files-2-3"])
     def test_the_first_bad_file_exits_2_with_no_process_left(self, market, tmp_path, monkeypatch,
                                                              capsys, bad):
         _, prices = market
         files = sorted(prices.glob("*.csv"))
         copy = tmp_path / "prices"
         copy.mkdir()
-        for i, f in enumerate(files):  # file k is parsed in process k mod 2
+        for i, f in enumerate(files):  # files[bad[0]] is the first bad one in file order
             text = f.read_text() + ("SYN,2020-05-01,x,1,1,1,1,1\n" if i in bad else "")
             (copy / f.name).write_text(text)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

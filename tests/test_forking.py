@@ -1,5 +1,5 @@
-"""forking.forked, serve and in_rounds with toy helpers: replies, order, errors,
-dead helpers and joins."""
+"""forking.forked and its share with toy work at 0-3 helpers: order, errors,
+dead helpers, joins and pipe-sized messages."""
 
 import multiprocessing
 import os
@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import advalstm
-from advalstm.forking import forked, in_rounds, receive, send, serve
+from advalstm import forking
+from advalstm.forking import forked
+
+HELPERS = [0, 1, 2, 3]
 
 
 def double(x):
@@ -23,129 +26,264 @@ def fail(x):
     raise ValueError(f"no good: {x}")
 
 
-def with_pid(x):
-    return x, os.getpid()
-
-
 def fail_at_5(x):
     if x == 5:
         raise ValueError(f"no good: {x}")
     return x
 
 
-def exit_at_once(conn, code):
-    os._exit(code)
+def logged(log: Path, fail_at: int | None = None, sleep_s: float = 0.05):
+    """Work that appends "k start" to ``log``, sleeps, appends "k end" and
+    returns k; request ``fail_at`` appends "k fail" and raises at once."""
+
+    def work(k):
+        with open(log, "a") as fh:
+            fh.write(f"{k} {'fail' if k == fail_at else 'start'}\n")
+        if k == fail_at:
+            raise ValueError(f"no good: {k}")
+        time.sleep(sleep_s)
+        with open(log, "a") as fh:
+            fh.write(f"{k} end\n")
+        return k
+
+    return work
 
 
-def killed_on_request(conn):
-    conn.recv()
-    os.kill(os.getpid(), signal.SIGKILL)  # as the kernel's out-of-memory killer does
-
-
-def report_pid_then_wait(conn):
-    conn.send(os.getpid())
-    conn.recv()
+def read_log(log: Path) -> list[tuple[int, str]]:
+    return [(int(k), what) for k, what in map(str.split, log.read_text().splitlines())]
 
 
 class TestReplies:
     def test_each_helper_answers_in_turn(self):
-        with forked(serve, [(double,)] * 2) as helpers:
+        # One fork serves every share of the block.
+        with forked(double, 2) as share:
             for x in range(3):
-                for conn in helpers:
-                    send(conn, (x,))
-                assert [receive(conn) for conn in helpers] == [2 * x, 2 * x]
+                assert list(share([(x + k,) for k in range(5)])) == [2 * (x + k) for k in range(5)]
 
     def test_no_helpers_no_pipes(self):
-        with forked(serve, []) as helpers:
-            assert helpers == []
+        with forked(double, 0) as share:
+            assert multiprocessing.active_children() == []
+            assert list(share([(1,), (2,)])) == [2, 4]
+            assert list(share([])) == []
+
+    @pytest.mark.parametrize("helper_count", HELPERS)
+    def test_each_runs_here_on_every_result(self, helper_count):
+        caller, seen = os.getpid(), []
+
+        def work(x):
+            time.sleep(0.01)
+            return x, os.getpid()
+
+        with forked(work, helper_count) as share:
+            results = list(share([(x,) for x in range(12)],
+                                 each=lambda r: seen.append((r, os.getpid()))))
+        assert sorted(r for r, _ in seen) == results
+        assert {pid for _, pid in seen} == {caller}
+
+    @pytest.mark.parametrize("helper_count", HELPERS)
+    def test_requests_and_replies_larger_than_a_pipe_buffer(self, helper_count):
+        # Each message holds 256 KB, four times what a Linux pipe buffers, so
+        # a helper blocks in send until this process reads its reply.
+        def work(k, blob):
+            return bytes([k]) * len(blob)
+
+        requests = [(k, bytes([k]) * (256 << 10)) for k in range(10)]
+        with forked(work, helper_count) as share:
+            assert list(share(requests)) == [blob for _, blob in requests]
 
 
 class TestInRounds:
-    @pytest.mark.parametrize("count", [2, 9], ids=["fewer-requests", "more-requests"])
-    @pytest.mark.parametrize("helper_count", [0, 1, 2, 3])
-    def test_request_k_runs_in_process_k_mod_p(self, helper_count, count):
-        procs = helper_count + 1
-        with forked(serve, [(with_pid,)] * helper_count) as helpers:
-            results = list(in_rounds(with_pid, [(x,) for x in range(count)], helpers))
-        assert [x for x, _ in results] == list(range(count))
-        pids = [pid for _, pid in results]
-        assert pids[0] == os.getpid()
-        assert len(set(pids)) == min(procs, count)
-        assert pids == [pids[k % procs] for k in range(count)]
+    """Requests as ``share`` takes them from both ends of its queue (the
+    class keeps its earlier name)."""
 
-    @pytest.mark.parametrize("helper_count", [0, 1, 2, 3])
+    @pytest.mark.parametrize("count", [2, 9], ids=["fewer-requests", "more-requests"])
+    @pytest.mark.parametrize("helper_count", HELPERS)
+    def test_results_come_in_request_order(self, helper_count, count):
+        def work(x):
+            time.sleep(0.003 * ((7 * x) % 5))  # so requests finish out of order
+            return x
+
+        with forked(work, helper_count) as share:
+            assert list(share([(x,) for x in range(count)])) == list(range(count))
+
+    @pytest.mark.parametrize("helper_count", HELPERS)
     def test_an_exception_is_raised_at_its_turn(self, helper_count):
-        # 5 runs in process 5 mod P: the caller at P = 1, a helper otherwise.
         seen = []
-        with forked(serve, [(fail_at_5,)] * helper_count) as helpers:
+        with forked(fail_at_5, helper_count) as share:
             with pytest.raises(ValueError, match="^no good: 5$"):
-                for x in in_rounds(fail_at_5, [(x,) for x in range(9)], helpers):
+                for x in share([(x,) for x in range(9)]):
                     seen.append(x)
         assert seen == [0, 1, 2, 3, 4]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("helper_count", HELPERS)
+    def test_the_first_failing_request_wins(self, helper_count):
+        # A helper takes request 9 first and fails at once; request 2 fails
+        # 200 ms later, and a serial run would raise its error.
+        def work(x):
+            if x == 2:
+                time.sleep(0.2)
+            if x in (2, 9):
+                raise ValueError(f"no good: {x}")
+            return x
+
+        seen = []
+        with forked(work, helper_count) as share:
+            with pytest.raises(ValueError, match="^no good: 2$"):
+                for x in share([(x,) for x in range(10)]):
+                    seen.append(x)
+        assert seen == [0, 1]
+
+    @pytest.mark.parametrize("fail_at", [0, 3, 8])
+    @pytest.mark.parametrize("helper_count", HELPERS)
+    def test_no_request_after_a_failure_starts_once_it_is_known(self, tmp_path, helper_count,
+                                                                 fail_at):
+        log = tmp_path / "log.txt"
+        with forked(logged(log, fail_at), helper_count) as share:
+            with pytest.raises(ValueError, match=f"^no good: {fail_at}$"):
+                list(share([(k,) for k in range(12)]))
+        entries = read_log(log)
+        known = entries.index((fail_at, "fail"))
+        assert [k for k, what in entries[known:] if what == "start" and k > fail_at] == []
+        started = [k for k, what in entries if what == "start"]
+        assert sorted(started) == sorted(set(started))  # no request twice
+        assert set(range(fail_at)) <= set(started)
+
+    @pytest.mark.parametrize("helper_count", HELPERS)
+    def test_every_request_before_a_helpers_failure_still_runs(self, tmp_path, helper_count):
+        # A helper's first request is the last one, which fails at once.
+        log = tmp_path / "log.txt"
+        seen = []
+        with forked(logged(log, fail_at=11, sleep_s=0.02), helper_count) as share:
+            with pytest.raises(ValueError, match="^no good: 11$"):
+                for k in share([(k,) for k in range(12)]):
+                    seen.append(k)
+        assert seen == list(range(11))
+        assert sorted(k for k, what in read_log(log) if what == "end") == list(range(11))
+
+    def test_a_helper_slow_to_start_still_takes_a_request(self, monkeypatch):
+        # The helper starts only once this process has run requests 0-2.
+        real_run = forking._run
+        started = multiprocessing.get_context("fork").Event()
+
+        def slow_run(*args):
+            started.wait(10)
+            real_run(*args)
+
+        def work(x):
+            if x == 2:
+                started.set()
+            return os.getpid()
+
+        monkeypatch.setattr(forking, "_run", slow_run)
+        with forked(work, 1) as share:
+            pids = list(share([(x,) for x in range(4)]))
+        assert pids[:3] == [os.getpid()] * 3 and pids[3] != os.getpid()
+
     def test_helpers_are_joined_when_the_consumer_stops_early(self):
-        with forked(serve, [(time.sleep,)] * 3) as helpers:
-            for _ in in_rounds(time.sleep, [(0.1,)] * 8, helpers):
-                break  # the other three requests of the round are still running
+        with forked(time.sleep, 3) as share:
+            for _ in share([(0.1,)] * 8):
+                break
         assert multiprocessing.active_children() == []
 
 
 class TestErrors:
     def test_a_helpers_exception_carries_its_traceback(self):
-        with forked(serve, [(fail,)]) as [conn]:
-            send(conn, (7,))
-            with pytest.raises(ValueError, match="^no good: 7$") as caught:
-                receive(conn)
+        caller = os.getpid()
+
+        def work(x):
+            if os.getpid() != caller:
+                fail(x)
+            return x
+
+        with forked(work, 1) as share:  # the helper takes request 1
+            with pytest.raises(ValueError, match="^no good: 1$") as caught:
+                list(share([(0,), (1,)]))
         cause = str(caught.value.__cause__)
         # the helper's own frames, down to the line that raised
         assert "in fail" in cause and 'raise ValueError(f"no good: {x}")' in cause
-        assert "ValueError: no good: 7" in cause
+        assert "ValueError: no good: 1" in cause
 
     def test_reply_returns_after_sending_an_exception(self):
-        with forked(serve, [(fail,)]) as [conn]:
-            send(conn, (1,))
-            with pytest.raises(ValueError, match="no good: 1"):
-                receive(conn)
-            send(conn, (2,))
-            with pytest.raises(ValueError, match="no good: 2"):
-                receive(conn)
+        # A helper whose request raised serves the block's next share.
+        caller = os.getpid()
 
-    @pytest.mark.parametrize("helper, args", [(exit_at_once, (0,)), (exit_at_once, (1,)),
-                                              (killed_on_request, ())],
-                             ids=["exit-0", "exit-1", "sigkill"])
-    def test_a_helper_that_ends_without_replying(self, helper, args):
-        with forked(helper, [args]) as [conn]:
-            send(conn, ())
+        def work(x):
+            if x < 0:
+                fail(x)
+            return os.getpid()
+
+        with forked(work, 1) as share:
+            with pytest.raises(ValueError, match="^no good: -1$"):
+                list(share([(0,), (-1,)]))
+            pids = list(share([(x,) for x in range(6)]))
+        assert pids[0] == caller and pids[-1] != caller
+
+    @pytest.mark.parametrize("how", ["exit-0", "exit-1", "sigkill"])
+    def test_a_helper_that_ends_without_replying(self, how):
+        caller = os.getpid()
+
+        def work(x):
+            if os.getpid() != caller:
+                if how == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer does
+                os._exit(int(how[-1]))
+            return x
+
+        with forked(work, 1) as share:
             with pytest.raises(ChildProcessError, match="^a helper process ended without"):
-                receive(conn)
+                list(share([(x,) for x in range(4)]))
+        assert multiprocessing.active_children() == []
 
     def test_sending_to_a_dead_helper_raises_at_receive(self):
-        with forked(exit_at_once, [(3,)]) as [conn]:
-            assert conn.poll(10)  # its end closed
-            for _ in range(3):
-                send(conn, ("work",) * 1000)
+        with forked(double, 1) as share:
+            [helper] = multiprocessing.active_children()
+            os.kill(helper.pid, signal.SIGKILL)
+            helper.join()
             with pytest.raises(ChildProcessError) as caught:
-                receive(conn)
+                list(share([(b"work" * (64 << 10),)] * 3))  # more than the pipe holds
         assert isinstance(caught.value, OSError)  # so the CLI exits 2 with one line
 
 
 class TestJoin:
     def test_helpers_are_joined_when_the_block_raises(self):
         with pytest.raises(RuntimeError, match="in the block"):
-            with forked(report_pid_then_wait, [()] * 3) as helpers:
-                pids = [receive(conn) for conn in helpers]
-                assert {p.pid for p in multiprocessing.active_children()} == set(pids)
+            with forked(double, 3) as share:
+                assert list(share([(x,) for x in range(4)])) == [0, 2, 4, 6]
+                assert len(multiprocessing.active_children()) == 3
                 raise RuntimeError("in the block")
         assert multiprocessing.active_children() == []
 
-    def test_helpers_busy_in_their_work_are_joined(self):
-        start = time.monotonic()
-        with forked(serve, [(time.sleep,)] * 2) as helpers:
-            for conn in helpers:
-                send(conn, (0.2,))
+    @pytest.mark.parametrize("where, error", [
+        ("each", RuntimeError), ("each", KeyboardInterrupt), ("block", KeyboardInterrupt),
+    ])
+    def test_helpers_are_joined_when_each_or_the_block_raises(self, where, error):
+        def each(result):
+            if where == "each":
+                raise error("here")
+
+        with pytest.raises(error, match="here"):
+            with forked(time.sleep, 2) as share:
+                for _ in share([(0.05,)] * 8, each):
+                    pass
+                raise error("here")
         assert multiprocessing.active_children() == []
-        assert time.monotonic() - start >= 0.2
+
+    def test_helpers_busy_in_their_work_are_joined(self, tmp_path):
+        # ``each`` raises on the first result, while the helpers are still
+        # in their first requests; none is cut short.
+        log = tmp_path / "log.txt"
+
+        def each(result):
+            raise RuntimeError("in each")
+
+        with pytest.raises(RuntimeError, match="in each"):
+            with forked(logged(log, sleep_s=0.2), 2) as share:
+                list(share([(k,) for k in range(8)], each))
+        entries = read_log(log)
+        assert multiprocessing.active_children() == []
+        assert sorted(k for k, what in entries if what == "start") == \
+            sorted(k for k, what in entries if what == "end")
 
 
 def test_a_serial_grid_imports_no_multiprocessing():

@@ -1,8 +1,8 @@
-import multiprocessing
 import os
 import time
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -254,6 +254,24 @@ class TestWorkers:
         with pytest.raises(DivergenceError, match="in a worker"):
             grid_search(self.GRID, easy_data_for_lag, BASE, workers=2)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_error_of_a_serial_run_wins(self, monkeypatch, workers):
+        # The cheap 8x5 cell fails 50 ms into its run; the 16x15 cell, the
+        # one a helper takes first, fails at once, while this process is
+        # still on its first 10 ms cell.  A serial run reaches 8x5 first, so
+        # its error is the one raised.
+        def fake_evaluate_cell(data_for_lag, base, cell):
+            if (cell.hidden_size, cell.lag) == (16, 15):
+                raise DivergenceError("cell 16x15")
+            time.sleep(0.05 if (cell.hidden_size, cell.lag) == (8, 5) else 0.01)
+            if (cell.hidden_size, cell.lag) == (8, 5):
+                raise DivergenceError("cell 8x5")
+            return replace(cell, val_acc=50.0, val_mcc=0.0)
+
+        monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
+        with pytest.raises(DivergenceError, match="^cell 8x5$"):
+            grid_search(self.GRID, easy_data_for_lag, BASE, workers=workers)
+
     def test_a_child_takes_only_the_cells_it_starts(self, monkeypatch):
         # This process works through the cheap end while the child's first
         # cell runs, so the child's next claim finds the ends met.  A cell
@@ -340,8 +358,9 @@ class TestHelpers:
         ("on_cell", RuntimeError), ("on_cell", KeyboardInterrupt), ("cell", DivergenceError),
     ])
     def test_a_raise_here_closes_the_queue(self, monkeypatch, tmp_path, where, error):
-        # The raise is caught while the helpers' pipes stay open, so only the
-        # closed queue can stop them claiming the rest of the stage.
+        # The raise is caught inside the block, a second before the helpers
+        # are joined: time for more than the rest of the stage, of which each
+        # helper may finish only the cell it held.
         parent = os.getpid()
         log = tmp_path / "helper_cells.txt"
         raised_at = []
@@ -365,11 +384,9 @@ class TestHelpers:
 
         monkeypatch.setattr(gridsearch, "_evaluate_cell", fake_evaluate_cell)
         cells = [gridsearch.GridCell(u, t, 0.01) for u in (4, 8, 16) for t in (2, 5, 15)] * 2
-        ends = multiprocessing.get_context("fork").Array("q", 2)
-        with forked(gridsearch._serve_stages, [(easy_data_for_lag, ends)] * 2) as helpers:
+        with forked(partial(gridsearch._evaluate_cell, easy_data_for_lag), 2) as share:
             with pytest.raises(error, match="here"):
-                gridsearch._evaluate_stage(cells, easy_data_for_lag, BASE, helpers, ends,
-                                           on_cell)
+                gridsearch._evaluate_stage(share, cells, BASE, on_cell)
             time.sleep(1.0)
         finished = [line.split() for line in log.read_text().splitlines()]
         after = Counter(pid for pid, t in finished if float(t) > raised_at[0])

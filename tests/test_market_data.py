@@ -2,6 +2,7 @@ import contextlib
 import datetime as dt
 import io
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -149,6 +150,36 @@ class TestIngest:
             ingest_eod(tmp_path, workers=2)
         helper_traceback = str(caught.value.__cause__)
         assert "in _read_csv" in helper_traceback and "ParseError: " in helper_traceback
+
+    @pytest.mark.parametrize("bad", [1, 4])
+    def test_no_file_after_a_bad_one_starts_once_it_fails(self, tmp_path, monkeypatch, bad):
+        # Eight files, each parsed in 20 ms or more; the log records each
+        # parse's start and the bad file's failure, from every process.
+        log = tmp_path / "log.txt"
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        for k in range(8):
+            rows = [price_row(f"S{k}", i, 10 + k) for i in range(50)]
+            write_csv(prices / f"f{k}.csv", rows + ["S,2020-01-01,x,1,1,1,1,1"] * (k == bad))
+        real_read_csv = market_data._read_csv
+
+        def logged_read_csv(path, ordinals):
+            with open(log, "a") as fh:
+                fh.write(f"{path.stem[1:]} start\n")
+            time.sleep(0.02)
+            try:
+                return real_read_csv(path, ordinals)
+            except ParseError:
+                with open(log, "a") as fh:
+                    fh.write(f"{path.stem[1:]} fail\n")
+                raise
+
+        monkeypatch.setattr(market_data, "_read_csv", logged_read_csv)
+        with pytest.raises(ParseError, match=f"f{bad}.csv:52: column 'open'"):
+            ingest_eod(prices, workers=2)
+        entries = [(int(k), what) for k, what in map(str.split, log.read_text().splitlines())]
+        known = entries.index((bad, "fail"))
+        assert [k for k, what in entries[known:] if what == "start" and k > bad] == []
 
     @pytest.mark.parametrize("bad", [None, 0, 3], ids=["clean", "caller", "helper"])
     @pytest.mark.parametrize("workers", [3, 8])
