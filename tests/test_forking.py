@@ -33,24 +33,26 @@ def fail_at_5(x):
 
 
 def logged(log: Path, fail_at: int | None = None, sleep_s: float = 0.05):
-    """Work that appends "k start" to ``log``, sleeps, appends "k end" and
-    returns k; request ``fail_at`` appends "k fail" and raises at once."""
+    """Work that appends "k start pid" to ``log``, sleeps, appends "k end
+    pid" and returns k; request ``fail_at`` appends "k fail pid" and raises
+    at once.  pid is the process that ran request k."""
 
     def work(k):
         with open(log, "a") as fh:
-            fh.write(f"{k} {'fail' if k == fail_at else 'start'}\n")
+            fh.write(f"{k} {'fail' if k == fail_at else 'start'} {os.getpid()}\n")
         if k == fail_at:
             raise ValueError(f"no good: {k}")
         time.sleep(sleep_s)
         with open(log, "a") as fh:
-            fh.write(f"{k} end\n")
+            fh.write(f"{k} end {os.getpid()}\n")
         return k
 
     return work
 
 
-def read_log(log: Path) -> list[tuple[int, str]]:
-    return [(int(k), what) for k, what in map(str.split, log.read_text().splitlines())]
+def read_log(log: Path) -> list[tuple[int, str, int]]:
+    return [(int(k), what, int(pid))
+            for k, what, pid in map(str.split, log.read_text().splitlines())]
 
 
 class TestReplies:
@@ -143,9 +145,19 @@ class TestInRounds:
             with pytest.raises(ValueError, match=f"^no good: {fail_at}$"):
                 list(share([(k,) for k in range(12)]))
         entries = read_log(log)
-        known = entries.index((fail_at, "fail"))
-        assert [k for k, what in entries[known:] if what == "start" and k > fail_at] == []
-        started = [k for k, what in entries if what == "start"]
+        known = next(i for i, (k, what, _) in enumerate(entries) if what == "fail")
+        assert entries[known][0] == fail_at
+        # The failing process writes its "fail" line before its raise
+        # unqueues the later requests, so in between another process may
+        # take one of them: that is its first start after the line.  It
+        # sleeps before it takes another, so its later starts come after
+        # the unqueue.
+        starts_after = {}
+        for k, what, pid in entries[known + 1:]:
+            if what == "start":
+                starts_after.setdefault(pid, []).append(k)
+        assert [k for ks in starts_after.values() for k in ks[1:] if k > fail_at] == []
+        started = [k for k, what, _ in entries if what == "start"]
         assert sorted(started) == sorted(set(started))  # no request twice
         assert set(range(fail_at)) <= set(started)
 
@@ -159,7 +171,7 @@ class TestInRounds:
                 for k in share([(k,) for k in range(12)]):
                     seen.append(k)
         assert seen == list(range(11))
-        assert sorted(k for k, what in read_log(log) if what == "end") == list(range(11))
+        assert sorted(k for k, what, _ in read_log(log) if what == "end") == list(range(11))
 
     def test_a_helper_slow_to_start_still_takes_a_request(self, monkeypatch):
         # The helper starts only once this process has run requests 0-2.
@@ -282,8 +294,8 @@ class TestJoin:
                 list(share([(k,) for k in range(8)], each))
         entries = read_log(log)
         assert multiprocessing.active_children() == []
-        assert sorted(k for k, what in entries if what == "start") == \
-            sorted(k for k, what in entries if what == "end")
+        assert sorted(k for k, what, _ in entries if what == "start") == \
+            sorted(k for k, what, _ in entries if what == "end")
 
 
 def test_a_serial_grid_imports_no_multiprocessing():

@@ -8,7 +8,15 @@ import pytest
 from advalstm import training
 from advalstm.errors import ContractError, DivergenceError, NumericError, ShapeError
 from advalstm.market_data import SplitSpec, align_trading_days, ingest_eod, label_and_window
-from advalstm.model import ModelDims, classify, forward, head_forward, init_params, predict
+from advalstm.model import (
+    ModelDims,
+    backward,
+    classify,
+    forward,
+    head_forward,
+    init_params,
+    predict,
+)
 from advalstm.synthetic import make_regime_examples, write_regime_price_csv
 from advalstm.training import (
     STEP_ROWS,
@@ -357,6 +365,103 @@ LABELLED_ENTRY_POINTS = {
     ),
     "attacked_confidences": lambda x, y, p: attacked_confidences(x, y, p, 0.05),
 }
+
+
+OBJECTIVES = ["objective_normal", "objective_adversarial", "objective_random",
+              "objective_adversarial_frozen"]
+
+
+class TestNoActiveHinge:
+    """A batch whose every clean and perturbed margin is at least 1 has a
+    zero hinge gradient, so ``_objective`` skips ``backward``.  Its
+    gradient must keep the bytes of backward from a zero upstream, plus the
+    L2 term."""
+
+    L2 = 0.01
+
+    @pytest.fixture
+    def backward_calls(self, monkeypatch):
+        """The argument tuples of every ``training.backward`` call in this process."""
+        calls = []
+        real_backward = training.backward
+
+        def counting(*args):
+            calls.append(args)
+            return real_backward(*args)
+
+        monkeypatch.setattr(training, "backward", counting)
+        return calls
+
+    @staticmethod
+    def separated(small_params, small_batch):
+        """(params, x, y, r): every clean margin at least 2, the labels being
+        the confidences' signs, and ``r`` a perturbation of e that moves no
+        confidence by more than 0.5."""
+        x, _ = small_batch
+        params = small_params.copy()
+        params.b_head[...] = 0.0
+        yhat = forward(x, params).yhat
+        params.w_head *= 2.0 / np.min(np.abs(yhat))
+        eps = 0.5 / np.linalg.norm(params.w_head)
+        r = sphere_noise((len(x), params.w_head.size), eps, np.random.default_rng(7))
+        return params, x, classify(yhat), r
+
+    @classmethod
+    def call(cls, name, x, y, params, r):
+        return {
+            "objective_normal": lambda: objective_normal(x, y, params, cls.L2),
+            "objective_adversarial": lambda: objective_adversarial(x, y, params, cls.L2, 0.5, 0.05),
+            "objective_random": lambda: objective_random(x, y, params, cls.L2, 0.5, r),
+            "objective_adversarial_frozen": lambda: objective_adversarial_frozen(
+                x, y, params, r, np.ones(y.shape, dtype=bool), cls.L2, 0.5),
+        }[name]()
+
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_gradient_is_a_zero_upstream_backward(self, small_params, small_batch,
+                                                   backward_calls, name):
+        params, x, y, r = self.separated(small_params, small_batch)
+        trace = forward(x, params)
+        assert np.all(y * trace.yhat >= 2.0)
+        assert np.all(y * (trace.yhat + r @ params.w_head) >= 1.0)
+        expected = backward(params, trace, np.zeros(len(y)))
+        expected.flat += self.L2 * params.flat
+        loss, grads = self.call(name, x, y, params, r)
+        assert backward_calls == []
+        assert grads.flat.tobytes() == expected.flat.tobytes()
+        assert loss == 0.5 * self.L2 * params.l2_norm_sq()
+
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_one_active_row_runs_backward_once(self, small_params, small_batch,
+                                               backward_calls, name):
+        params, x, y, r = self.separated(small_params, small_batch)
+        y[3] = -y[3]
+        self.call(name, x, y, params, r)
+        assert len(backward_calls) == 1
+
+    @pytest.mark.parametrize("name", ["objective_random", "objective_adversarial_frozen"])
+    def test_a_perturbed_margin_alone_runs_backward(self, small_params, small_batch,
+                                                     backward_calls, name):
+        # Row 3's clean margin stays at least 2; its perturbed margin is 0.
+        params, x, y, r = self.separated(small_params, small_batch)
+        trace = forward(x, params)
+        head = params.w_head
+        r[3] = -(y[3] * trace.yhat[3]) * y[3] * head / (head @ head)
+        assert np.all(y * trace.yhat >= 2.0)
+        assert y[3] * (trace.yhat[3] + r[3] @ head) == pytest.approx(0.0, abs=1e-12)
+        _, grads = self.call(name, x, y, params, r)
+        assert len(backward_calls) == 1
+        assert np.any(grads.flat != self.L2 * params.flat)
+
+    def test_a_negative_weight_that_cancels_the_upstream_still_sums_r(self, small_params,
+                                                                      small_batch):
+        # At weight -1 row 3's clean and perturbed terms cancel in the upstream
+        # gradient, while w_head keeps the perturbed term's sum of d * r.
+        params, x, y, r = self.separated(small_params, small_batch)
+        y[3] = -y[3]
+        _, grads = objective_adversarial_frozen(x, y, params, r, np.ones(y.shape, dtype=bool),
+                                                self.L2, -1.0)
+        np.testing.assert_allclose(grads.w_head, self.L2 * params.w_head + y[3] * r[3],
+                                   rtol=1e-12)
 
 
 class TestLabelShape:
@@ -766,6 +871,43 @@ class TestTrainWorkers:
             helpers = min(workers, chunks) - 1
             assert [len(a) for a in alive] == [helpers] * 2 and alive[0] == alive[1]
             assert multiprocessing.active_children() == []
+        first = results[0]
+        for other in results[1:]:
+            assert other.params.flat.tobytes() == first.params.flat.tobytes()
+            assert other.history == first.history
+            assert other.val_yhat.tobytes() == first.val_yhat.tobytes()
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_chunks_without_an_active_hinge_skip_backward(self, small_dims, monkeypatch,
+                                                           mode):
+        # A separable market: from the first epoch some 512-row chunks have
+        # every margin at least 1.  The counts are shared with the helpers.
+        x, y = make_regime_examples(2100, lag=3, seed=2, label_noise=0.0, signal=4.0,
+                                    noise=0.2)
+        counts = multiprocessing.get_context("fork").Array("q", 2)  # chunks, backward calls
+
+        def counting(i, real):
+            def wrapped(*args, **kwargs):
+                with counts.get_lock():
+                    counts[i] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        name = {"normal": "objective_normal", "adversarial": "objective_adversarial",
+                "random_perturbation": "objective_random"}[mode]
+        monkeypatch.setattr(training, name, counting(0, getattr(training, name)))
+        monkeypatch.setattr(training, "backward", counting(1, training.backward))
+        config = TrainConfig(mode=mode, epochs=4, batch_size=1024, seed=5, patience=0,
+                             learning_rate=0.1, adv_weight=0.5, adv_scale=0.05)
+        results, seen = [], []
+        for workers in (1, 2, 3):
+            counts[:] = [0, 0]
+            results.append(train(x, y, x[:300], y[:300], small_dims, config, workers=workers))
+            seen.append(tuple(counts))
+        chunks, calls = seen[0]
+        assert chunks == 4 * 5  # per epoch: 2 + 2 chunks and a 52-row tail
+        assert 0 < calls < chunks
+        assert seen == [seen[0]] * 3
         first = results[0]
         for other in results[1:]:
             assert other.params.flat.tobytes() == first.params.flat.tobytes()
