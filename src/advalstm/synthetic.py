@@ -3,12 +3,13 @@
 Two generators: labeled feature windows drawn from a two-regime
 Gaussian process (for desk-scale training experiments), and raw
 price CSVs with regime-switching drift (for exercising the full
-ingest -> features -> labels pipeline end to end).
+ingest -> features -> labels pipeline end to end).  The price CSVs'
+bytes are a contract: their draw order, one ``np.exp`` per stock and
+``csv.writer``'s default dialect (see ``write_regime_price_csv``).
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from pathlib import Path
 
@@ -66,23 +67,36 @@ def write_regime_price_csv(
     Prices follow a log random walk whose drift flips sign at regime
     switches, so next-day moves usually clear the labeling thresholds.
     High/low always bracket open/close, and adjusted close equals close.
+
+    The bytes are a contract: datasets, checkpoints and benchmark inputs
+    are built from them.  One generator serves the stocks in turn,
+    drawing for each the regime, the start price, then a switch draw and
+    a shock per day as scalars (the normal sampler takes a variable
+    number of draws, so a vector draw would consume the stream
+    differently), then the first open's noise, the day spreads and the
+    volumes.  Log prices are summed in Python floats and exponentiated
+    by one ``np.exp`` per stock.  Prices are ``repr`` of Python floats,
+    in lines of ``csv.writer``'s default dialect (``,`` and ``\\r\\n``),
+    which no generated field needs quoting in.
     """
     if n_stocks < 1 or n_days < 2:
         raise ContractError("need at least 1 stock and 2 days")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    dates = [start_date + dt.timedelta(days=i) for i in range(n_days)]
+    dates = [(start_date + dt.timedelta(days=i)).isoformat() for i in range(n_days)]
+    header = ",".join(CSV_COLUMNS) + "\r\n"
     symbols = [f"SYN{i:02d}" for i in range(n_stocks)]
     for symbol in symbols:
         regime = 1.0 if rng.random() < 0.5 else -1.0
         log_price = float(np.log(20.0 + 80.0 * rng.random()))
-        closes = np.empty(n_days)
-        for d in range(n_days):
-            closes[d] = np.exp(log_price)
+        log_prices = []
+        for _ in range(n_days):
+            log_prices.append(log_price)
             if rng.random() < switch_prob:
                 regime = -regime
             log_price += regime * drift + vol * rng.standard_normal()
+        closes = np.exp(log_prices)
         opens = np.empty(n_days)
         opens[0] = closes[0] * (1.0 + 0.002 * rng.standard_normal())
         opens[1:] = closes[:-1]
@@ -90,21 +104,10 @@ def write_regime_price_csv(
         highs = np.maximum(opens, closes) * spread
         lows = np.minimum(opens, closes) / spread
         volumes = rng.integers(100_000, 5_000_000, size=n_days)
-        path = out_dir / f"{symbol}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for d in range(n_days):
-                writer.writerow(
-                    [
-                        symbol,
-                        dates[d].isoformat(),
-                        repr(float(opens[d])),
-                        repr(float(highs[d])),
-                        repr(float(lows[d])),
-                        repr(float(closes[d])),
-                        repr(float(closes[d])),
-                        int(volumes[d]),
-                    ]
-                )
+        close_text = list(map(repr, closes.tolist()))
+        open_text = [repr(float(opens[0])), *close_text[:-1]]
+        rows = zip(dates, open_text, map(repr, highs.tolist()), map(repr, lows.tolist()),
+                   close_text, volumes.tolist())
+        body = "".join(f"{symbol},{d},{o},{h},{lo},{c},{c},{v}\r\n" for d, o, h, lo, c, v in rows)
+        (out_dir / f"{symbol}.csv").write_text(header + body, newline="")
     return symbols

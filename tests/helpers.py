@@ -6,7 +6,8 @@ time.  It shares no code with the analytic backward pass it checks.
 The feature oracle likewise computes one stock-day at a time from the
 definition, sharing no code with the panel computation, and the ingest
 oracle reads CSVs one dict per row, sharing no code with the columnar
-ingest.
+ingest.  The price-CSV oracle is the synthetic generator as first
+written: one ``np.exp`` and one ``csv.writer`` row per stock-day.
 """
 
 from __future__ import annotations
@@ -165,3 +166,56 @@ def ingest_oracle(path) -> dict[str, tuple[list[int], np.ndarray]]:
         out[stock] = ([d.toordinal() for d, _ in records],
                       np.array([p for _, p in records], dtype=np.float64).reshape(-1, 5))
     return out
+
+
+def regime_price_csv_oracle(
+    out_dir,
+    n_stocks: int = 4,
+    n_days: int = 120,
+    seed: int = 0,
+    drift: float = 0.01,
+    vol: float = 0.004,
+    switch_prob: float = 0.05,
+    start_date: dt.date = dt.date(2020, 1, 1),
+) -> list[str]:
+    """Per-row reference for ``synthetic.write_regime_price_csv``, whose
+    bytes must match it exactly: the same draws in the same order, one
+    ``np.exp`` per day and one ``csv.writer.writerow`` per line."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(seed)
+    dates = [start_date + dt.timedelta(days=i) for i in range(n_days)]
+    symbols = [f"SYN{i:02d}" for i in range(n_stocks)]
+    for symbol in symbols:
+        regime = 1.0 if rng.random() < 0.5 else -1.0
+        log_price = float(np.log(20.0 + 80.0 * rng.random()))
+        closes = np.empty(n_days)
+        for d in range(n_days):
+            closes[d] = np.exp(log_price)
+            if rng.random() < switch_prob:
+                regime = -regime
+            log_price += regime * drift + vol * rng.standard_normal()
+        opens = np.empty(n_days)
+        opens[0] = closes[0] * (1.0 + 0.002 * rng.standard_normal())
+        opens[1:] = closes[:-1]
+        spread = 1.0 + np.abs(0.003 * rng.standard_normal(n_days))
+        highs = np.maximum(opens, closes) * spread
+        lows = np.minimum(opens, closes) / spread
+        volumes = rng.integers(100_000, 5_000_000, size=n_days)
+        with open(out_dir / f"{symbol}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            for d in range(n_days):
+                writer.writerow(
+                    [
+                        symbol,
+                        dates[d].isoformat(),
+                        repr(float(opens[d])),
+                        repr(float(highs[d])),
+                        repr(float(lows[d])),
+                        repr(float(closes[d])),
+                        repr(float(closes[d])),
+                        int(volumes[d]),
+                    ]
+                )
+    return symbols
