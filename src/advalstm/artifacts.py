@@ -1,5 +1,5 @@
-"""On-disk artifacts: a binary tensor container, CSV reports, and JSON
-manifests.
+"""On-disk artifacts: a binary tensor container, CSV reports, JSON
+manifests and config text.
 
 The container is self-describing and deterministic: magic bytes, a
 length-prefixed JSON header (sorted keys) listing metadata and a tensor
@@ -7,6 +7,11 @@ manifest, then each tensor's raw little-endian row-major bytes in
 manifest order.  Writing the same payload twice yields byte-identical
 files; no timestamps are ever stored.  CSV floats are written with
 repr() so values round-trip exactly.
+
+Every output goes through one writer, ``_replacing``: the bytes go to a
+``.<name>.partial`` file beside the output, which then replaces the
+output whole, so a stopped command leaves each output with its old
+bytes or its new ones.  Text is UTF-8 with no newline translation.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,13 +31,32 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArtifactMismatchError
-from .evaluation import HistogramReport
 from .market_data import (FEATURE_DIM, SPLIT_NAMES, DatasetArtifact, SplitArrays, SplitSpec,
                           _parse_date, gather_windows)
 from .model import ModelDims, PARAM_FIELDS, ParamSet, param_shapes
 
 MAGIC = b"ADVALSTM"
 FORMAT_VERSION = 1
+METRICS_COLUMNS = ("name", "acc", "mcc")
+
+
+@contextmanager
+def _replacing(path: str | Path, mode: str = "w"):
+    """Open a ``.<name>.partial`` file beside ``path`` for writing, and
+    ``os.replace`` it onto ``path`` once the block ends.  On any exception,
+    KeyboardInterrupt included, delete it and re-raise: ``path`` keeps its
+    old bytes.  The new file's mode follows the umask, as ``open`` makes it."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    text = "b" not in mode
+    try:
+        with open(partial, mode, encoding="utf-8" if text else None,
+                  newline="" if text else None) as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------- container
@@ -53,7 +79,7 @@ def write_container(path: str | Path, meta: dict, tensors: dict[str, np.ndarray]
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
@@ -262,61 +288,27 @@ def load_dataset(path: str | Path) -> DatasetArtifact:
     return DatasetArtifact(stocks, calendar, adj_close, features, lag, **splits)
 
 
-# -------------------------------------------------------------- CSV reports
+# ----------------------------------------------------- CSV, JSON and text
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row, each ending in ``\\r\\n``;
+    floats are written with repr() and None as an empty cell."""
+    with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def write_loss_curves(path: str | Path, history) -> None:
-    _write_csv(
-        path,
-        ("epoch", "train_loss", "val_loss", "val_acc"),
-        ((r.epoch, r.train_loss, r.val_loss, r.val_acc) for r in history),
-    )
-
-
-def write_grid_csv(path: str | Path, cells) -> None:
-    _write_csv(
-        path,
-        ("U", "T", "lambda", "beta", "epsilon", "val_acc", "val_mcc"),
-        (
-            (c.hidden_size, c.lag, c.l2_coef, c.adv_weight, c.adv_scale, c.val_acc, c.val_mcc)
-            for c in cells
-        ),
-    )
-
-
-def write_predictions_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
-    """One row per scored window: stock, anchor date, label, confidence, predicted."""
-    _write_csv(path, ("stock", "date", "label", "confidence", "predicted"), rows)
-
-
-def write_histogram_csv(path: str | Path, hist: HistogramReport) -> None:
-    _write_csv(path, ("bin_low", "bin_high", "count"), hist.rows())
-
-
-def write_metrics_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
-    """Comparison table: one row per predictor plus a relative-improvement row."""
-    _write_csv(path, ("name", "acc", "mcc"), rows)
-
-
-def write_attack_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
-    _write_csv(path, ("metric", "clean", "attacked", "rpd"), rows)
-
-
-def write_summary_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
-    _write_csv(path, ("name", "metric", "mean", "std", "runs"), rows)
-
-
 def write_json(path: str | Path, obj) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def _finite_or_empty(cell: str | None) -> bool:
@@ -335,12 +327,11 @@ def read_metrics_csv(path: str | Path) -> list[dict[str, str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames != ["name", "acc", "mcc"]:
-                raise ArtifactMismatchError(
-                    f"{path}: expected metrics header name,acc,mcc, got {reader.fieldnames}"
-                )
+            if reader.fieldnames != list(METRICS_COLUMNS):
+                raise ArtifactMismatchError(f"{path}: expected metrics header "
+                                            f"{','.join(METRICS_COLUMNS)}, got {reader.fieldnames}")
             for row in reader:
-                for column in ("acc", "mcc"):
+                for column in METRICS_COLUMNS[1:]:
                     if not _finite_or_empty(row[column]):
                         raise ArtifactMismatchError(
                             f"{path}:{reader.line_num}: {column} must be a finite number "

@@ -144,7 +144,8 @@ def cmd_train(args) -> int:
         adv_scale=train_config.adv_scale,
         dataset_sha256=dataset_sha,
     )
-    artifacts.write_loss_curves(out / "loss_curves.csv", result.history)
+    artifacts.write_csv(out / "loss_curves.csv", ("epoch", "train_loss", "val_loss", "val_acc"),
+                        map(dataclasses.astuple, result.history))
     artifacts.write_json(
         out / "run_manifest.json",
         {
@@ -187,14 +188,16 @@ def cmd_grid(args) -> int:
     base = dataclasses.replace(config.train_config(), epochs=config.grid_epochs)
     result = grid_search(grid, data_for_lag, base, workers=_usable_cpus())
 
-    artifacts.write_grid_csv(out / "grid_results.csv", result.cells)
+    artifacts.write_csv(out / "grid_results.csv",
+                        ("U", "T", "lambda", "beta", "epsilon", "val_acc", "val_mcc"),
+                        map(dataclasses.astuple, result.cells))
     best = result.best_stage2
     u = best.hidden_size
     best_config = dataclasses.replace(
         config, mode="adversarial", map_size=u, hidden_size=u, att_size=u, lag=best.lag,
         l2_coef=best.l2_coef, adv_weight=best.adv_weight, adv_scale=best.adv_scale,
     )
-    (out / "best_config.cfg").write_text(dump_config(best_config))
+    artifacts.write_text(out / "best_config.cfg", dump_config(best_config))
     print(
         f"grid: {len(result.cells)} cells; best hidden={best.hidden_size} "
         f"lag={best.lag} l2={best.l2_coef} adv_weight={best.adv_weight} "
@@ -260,10 +263,11 @@ def cmd_eval(args) -> int:
 
     rows = [(name, acc_val, mcc_val) for name, (acc_val, mcc_val) in scores.items()]
     rows.append(("ri_pct", ri_acc, ri_mcc))
-    artifacts.write_metrics_csv(out / "metrics.csv", rows)
+    artifacts.write_csv(out / "metrics.csv", artifacts.METRICS_COLUMNS, rows)
     dates = [d.isoformat() for d in dataset.calendar]
-    artifacts.write_predictions_csv(
+    artifacts.write_csv(
         out / "predictions.csv",
+        ("stock", "date", "label", "confidence", "predicted"),
         zip(
             [dataset.stocks[i] for i in test.stock_idx],
             [dates[i] for i in test.anchor_idx],
@@ -272,7 +276,8 @@ def cmd_eval(args) -> int:
             pred.astype(np.int64).tolist(),
         ),
     )
-    artifacts.write_histogram_csv(out / "confidence_histogram.csv", confidence_histogram(yhat))
+    artifacts.write_csv(out / "confidence_histogram.csv", ("bin_low", "bin_high", "count"),
+                        confidence_histogram(yhat).rows())
 
     print(f"{'name':<8} {'acc':>8} {'mcc':>8}")
     for name, (acc_val, mcc_val) in scores.items():
@@ -307,7 +312,7 @@ def cmd_attack(args) -> int:
         rows.append((name, clean_score, attacked_score, drop))
         drop_text = "n/a" if drop is None else f"{drop:+.4f}"
         print(f"{name}: clean {clean_score:.4f} attacked {attacked_score:.4f} rpd {drop_text}")
-    artifacts.write_attack_csv(out / "attack_report.csv", rows)
+    artifacts.write_csv(out / "attack_report.csv", ("metric", "clean", "attacked", "rpd"), rows)
     return EXIT_OK
 
 
@@ -327,7 +332,7 @@ def cmd_report(args) -> int:
         s = summarize_runs(vals)
         rows.append((name, metric, s.mean, s.std, s.n_runs))
         print(f"{name} {metric}: {s} over {s.n_runs} run(s)")
-    artifacts.write_summary_csv(out / "summary.csv", rows)
+    artifacts.write_csv(out / "summary.csv", ("name", "metric", "mean", "std", "runs"), rows)
     return EXIT_OK
 
 

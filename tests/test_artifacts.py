@@ -10,6 +10,7 @@ import pytest
 
 from advalstm.artifacts import (
     MAGIC,
+    METRICS_COLUMNS,
     file_sha256,
     load_checkpoint,
     load_dataset,
@@ -17,17 +18,10 @@ from advalstm.artifacts import (
     read_metrics_csv,
     save_checkpoint,
     save_dataset,
-    write_attack_csv,
     write_container,
-    write_grid_csv,
-    write_histogram_csv,
-    write_loss_curves,
-    write_metrics_csv,
-    write_predictions_csv,
-    write_summary_csv,
+    write_csv,
 )
 from advalstm.errors import ArtifactMismatchError, EmptySplitWarning
-from advalstm.evaluation import confidence_histogram
 from advalstm.gridsearch import GridCell
 from advalstm.market_data import (SPLIT_NAMES, DatasetArtifact, SplitArrays, SplitSpec,
                                   align_trading_days, ingest_eod, label_and_window)
@@ -435,7 +429,9 @@ class TestCsv:
             EpochRecord(epoch=1, train_loss=0.75, val_loss=0.5, val_acc=62.5),
             EpochRecord(epoch=2, train_loss=0.25, val_loss=1.0 / 3.0, val_acc=75.0),
         ]
-        write_loss_curves(p, history)
+        # EpochRecord's fields are the columns, in order.
+        write_csv(p, ("epoch", "train_loss", "val_loss", "val_acc"),
+                  map(dataclasses.astuple, history))
         lines = p.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,val_acc"
         assert lines[1] == "1,0.75,0.5,62.5"
@@ -443,42 +439,29 @@ class TestCsv:
         assert float(lines[2].split(",")[2]) == 1.0 / 3.0
 
     def test_grid_header(self, tmp_path):
+        # GridCell's fields are the columns, in order: U is hidden_size, T the
+        # lag, lambda the L2, beta the adversarial weight and epsilon its scale.
         p = tmp_path / "grid.csv"
-        write_grid_csv(p, [GridCell(4, 3, 0.01, 0.0, 0.0, 55.5, 0.1)])
-        lines = p.read_text().splitlines()
-        assert lines[0] == "U,T,lambda,beta,epsilon,val_acc,val_mcc"
-        assert lines[1] == "4,3,0.01,0.0,0.0,55.5,0.1"
-
-    def test_predictions(self, tmp_path):
-        p = tmp_path / "pred.csv"
-        write_predictions_csv(
-            p, [("A", "2020-01-02", 1, 0.125, 1)]
-        )
-        lines = p.read_text().splitlines()
-        assert lines[0] == "stock,date,label,confidence,predicted"
-        assert lines[1] == "A,2020-01-02,1,0.125,1"
+        write_csv(p, ("U", "T", "lambda", "beta", "epsilon", "val_acc", "val_mcc"),
+                  map(dataclasses.astuple, [GridCell(4, 3, 0.01, 0.05, 0.1, 55.5, 0.25)]))
+        assert p.read_bytes() == (b"U,T,lambda,beta,epsilon,val_acc,val_mcc\r\n"
+                                  b"4,3,0.01,0.05,0.1,55.5,0.25\r\n")
 
     def test_cells_are_float_repr_or_empty(self, tmp_path):
         # csv.writer itself writes every float cell as repr(float(v)) and
         # None as an empty cell; the report bytes rely on both.
         p = tmp_path / "summary.csv"
         floats = (np.float64(1 / 3), 1e-05, 1e16, -0.0, float("nan"))
-        write_summary_csv(p, [floats, ("model", "acc", 0.5, None, 7)])
+        write_csv(p, ("name", "metric", "mean", "std", "runs"),
+                  [floats, ("model", "acc", 0.5, None, 7)])
         lines = p.read_text().splitlines()
         assert lines[1].split(",") == [repr(float(v)) for v in floats]
         assert lines[2] == "model,acc,0.5,,7"
 
-    def test_histogram(self, tmp_path):
-        p = tmp_path / "hist.csv"
-        write_histogram_csv(p, confidence_histogram([0.0, 0.5, 1.0], bins=2))
-        lines = p.read_text().splitlines()
-        assert lines[0] == "bin_low,bin_high,count"
-        assert len(lines) == 3
-
     def test_metrics_round_trip(self, tmp_path):
         p = tmp_path / "metrics.csv"
-        write_metrics_csv(p, [("mom", 50.0, 0.0), ("model", 57.2, 0.1483),
-                              ("ri_pct", 4.08, None)])
+        write_csv(p, METRICS_COLUMNS, [("mom", 50.0, 0.0), ("model", 57.2, 0.1483),
+                                       ("ri_pct", 4.08, None)])
         rows = read_metrics_csv(p)
         assert rows[0] == {"name": "mom", "acc": "50.0", "mcc": "0.0"}
         assert rows[2]["mcc"] == ""
@@ -506,10 +489,3 @@ class TestCsv:
         p.write_bytes(b"name,acc,mcc\ncaf\xe9,50.0,0.0\n")
         with pytest.raises(ArtifactMismatchError, match="not UTF-8"):
             read_metrics_csv(p)
-
-    def test_attack(self, tmp_path):
-        p = tmp_path / "attack.csv"
-        write_attack_csv(p, [("acc", 57.2, 50.0, -0.125), ("mcc", 0.0, 0.0, None)])
-        lines = p.read_text().splitlines()
-        assert lines[0] == "metric,clean,attacked,rpd"
-        assert lines[2] == "mcc,0.0,0.0,"

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import advalstm
-from advalstm import cli, gridsearch, market_data, training
+from advalstm import artifacts, cli, gridsearch, market_data, training
 from advalstm.artifacts import (
     MAGIC,
     load_checkpoint,
@@ -1131,6 +1131,111 @@ class TestRetainFreedMemory:
         cfg = write_config(tmp_path / "run.cfg", price_dir, tmp_path / "out")
         assert run("build", "--config", str(cfg)) == 0
         assert asked == [None]
+
+
+class _StopInWrite:
+    """A file whose first write writes half of its data and then raises
+    KeyboardInterrupt, as a Ctrl-C in the middle of writing an output would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise KeyboardInterrupt
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+GRID_KEYS = {"grid.hidden_sizes": "4,8", "grid.lags": "2,5", "grid.l2_coefs": "0.01",
+             "grid.adv_weights": "0.01,0.1", "grid.adv_scales": "0.05", "grid.epochs": "2"}
+
+
+class TestOutputWrites:
+    # Each command's outputs, in the order it writes them: manifests last.
+    OUTPUTS = {
+        "build": ["dataset.bin", "build_manifest.json"],
+        "train": ["model.ckpt", "loss_curves.csv", "run_manifest.json"],
+        "grid": ["grid_results.csv", "best_config.cfg"],
+        "eval": ["metrics.csv", "predictions.csv", "confidence_histogram.csv"],
+        "attack": ["attack_report.csv"],
+        "report": ["summary.csv"],
+    }
+
+    def test_a_stopped_write_leaves_old_or_new_bytes(self, price_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", price_dir, out, **{"train.mode": "adversarial"})
+        grid_cfg = write_config(tmp_path / "grid.cfg", price_dir, out, **GRID_KEYS)
+        argv = {command: [command, "--config", str(cfg)] for command in self.OUTPUTS}
+        argv["grid"][-1] = str(grid_cfg)
+        argv["report"].append(str(out / "metrics.csv"))
+        real_open, opened = open, []
+
+        def state_of(name):
+            return (out / name).read_bytes(), (out / name).stat().st_mode
+
+        def stopping_open(k):
+            def fake(file, mode="r", *args, **kwargs):
+                fh = real_open(file, mode, *args, **kwargs)
+                if "w" not in mode:
+                    return fh
+                opened.append(file)
+                return _StopInWrite(fh) if len(opened) == k + 1 else fh
+            return fake
+
+        for command, names in self.OUTPUTS.items():
+            assert run(*argv[command]) == 0
+            new = {name: state_of(name) for name in names}
+            files = sorted(os.listdir(out))
+            for k in range(len(names)):
+                for name in names:
+                    (out / name).write_bytes(b"old " + name.encode())
+                    (out / name).chmod(0o600)
+                opened.clear()
+                monkeypatch.setattr(artifacts, "open", stopping_open(k), raising=False)
+                with pytest.raises(KeyboardInterrupt):
+                    run(*argv[command])
+                monkeypatch.undo()
+                assert len(opened) == k + 1
+                assert sorted(os.listdir(out)) == files  # no partial file left
+                old = {name: (b"old " + name.encode(), new[name][1] & ~0o777 | 0o600)
+                       for name in names}
+                state = [state_of(name) for name in names]
+                assert state == ([new[name] for name in names[:k]]
+                                 + [old[name] for name in names[k:]]), command
+            opened.clear()
+            monkeypatch.setattr(artifacts, "open", stopping_open(-1), raising=False)
+            assert run(*argv[command]) == 0
+            monkeypatch.undo()
+            assert len(opened) == len(names), command
+            assert {name: state_of(name) for name in names} == new
+
+    def test_text_outputs_are_utf8_under_an_ascii_locale(self, price_dir, tmp_path):
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        for f in sorted(price_dir.iterdir()):
+            (prices / f.name).write_bytes(f.read_bytes().replace(b"SYN00,", "CAFÉ,".encode()))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", prices, out)
+        # grid reads only the dataset; best_config.cfg carries data.path on.
+        elsewhere = str(tmp_path / "prix-été")
+        (tmp_path / "grid.cfg").write_text(
+            "".join(f"{k} = {v}\n" for k, v in {**BASE_KEYS, **GRID_KEYS, "out.dir": out,
+                                                  "data.path": elsewhere}.items()),
+            encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(advalstm.__file__).resolve().parents[1]),
+                   LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        for command, config in (("build", cfg), ("train", cfg), ("grid", tmp_path / "grid.cfg"),
+                                ("eval", cfg)):
+            done = subprocess.run([sys.executable, "-m", "advalstm.cli", command, "--config",
+                                   str(config)], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, (command, done.stderr)
+        assert "\r\nCAFÉ," in (out / "predictions.csv").read_bytes().decode("utf-8")
+        assert load_config(out / "best_config.cfg").data_path == elsewhere
 
 
 def test_cli_import_loads_no_scipy():
