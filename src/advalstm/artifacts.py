@@ -5,7 +5,10 @@ The container is self-describing and deterministic: magic bytes, a
 length-prefixed JSON header (sorted keys) listing metadata and a tensor
 manifest, then each tensor's raw little-endian row-major bytes in
 manifest order.  Writing the same payload twice yields byte-identical
-files; no timestamps are ever stored.  CSV floats are written with
+files; no timestamps are ever stored.  Each tensor is written from, and
+read into, its own array: a reader checks every tensor entry against the
+file's size, then reads each tensor's bytes straight into a new array,
+so neither holds a second copy of the payload.  CSV floats are written with
 repr() so values round-trip exactly.
 
 Every output goes through one writer, ``_replacing``: the bytes go to a
@@ -62,18 +65,20 @@ def _replacing(path: str | Path, mode: str = "w"):
 # ---------------------------------------------------------------- container
 
 
+def _bytes_of(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous array's bytes as a flat uint8 view, which ``write``
+    and ``readinto`` take whatever the array's dtype or shape."""
+    return a.reshape(-1).view(np.uint8)
+
+
 def write_container(path: str | Path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write metadata plus named tensors; same payload -> same bytes."""
-    manifest = []
-    blobs = []
-    for name in sorted(tensors):
-        # asarray, not ascontiguousarray: the latter turns 0-d into (1,).
-        a = np.asarray(tensors[name])
-        dtype = a.dtype.newbyteorder("<")
-        manifest.append(
-            {"dtype": dtype.str, "name": name, "shape": list(a.shape)}
-        )
-        blobs.append(a.astype(dtype, copy=False).tobytes(order="C"))
+    """Write metadata plus named tensors; same payload -> same bytes.  Each
+    tensor is written from its own buffer; only one that is not C-contiguous
+    and little-endian is copied, and only while it is written."""
+    # asarray, not ascontiguousarray: the latter turns 0-d into (1,).
+    arrays = {name: np.asarray(tensors[name]) for name in sorted(tensors)}
+    manifest = [{"dtype": a.dtype.newbyteorder("<").str, "name": name, "shape": list(a.shape)}
+                for name, a in arrays.items()]
     header = json.dumps(
         {"format_version": FORMAT_VERSION, "meta": meta, "tensors": manifest},
         sort_keys=True,
@@ -83,59 +88,64 @@ def write_container(path: str | Path, meta: dict, tensors: dict[str, np.ndarray]
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for a in arrays.values():
+            fh.write(_bytes_of(a.astype(a.dtype.newbyteorder("<"), order="C", copy=False)))
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container back; raises ArtifactMismatchError on corruption."""
+    """Read a container back; raises ArtifactMismatchError on corruption.
+
+    Every tensor entry is checked against the file's size before any
+    tensor is allocated; then each tensor's bytes are read straight into
+    its own array, so a load holds one copy of the payload."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
-        raise ArtifactMismatchError(f"{path}: not a recognized artifact container")
-    (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
-    start = len(MAGIC) + 4
-    if start + header_len > len(raw):
-        raise ArtifactMismatchError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[start : start + header_len].decode("utf-8"))
-        version = header.get("format_version")
-    except (UnicodeDecodeError, json.JSONDecodeError, AttributeError) as exc:
-        raise ArtifactMismatchError(f"{path}: unreadable header: {exc}") from exc
-    if version != FORMAT_VERSION:
-        raise ArtifactMismatchError(f"{path}: unsupported format version {version!r}")
-    tensors: dict[str, np.ndarray] = {}
-    offset = start + header_len
-    try:
-        meta = header["meta"]
-        if not isinstance(meta, dict):
-            raise TypeError("meta is not an object")
-        for entry in header["tensors"]:
-            name, spec, shape = entry["name"], entry["dtype"], entry["shape"]
-            # Only a dtype that write_container writes: its canonical name,
-            # little-endian or byte-order-free, of fixed non-zero size.
-            dtype = np.dtype(spec) if type(spec) is str else None
-            if (dtype is None or dtype.str != spec or spec[0] == ">" or dtype.itemsize == 0
-                    or dtype.hasobject):
-                raise ArtifactMismatchError(
-                    f"{path}: tensor {name!r} has dtype {spec!r}, which no container holds"
-                )
-            if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
-                raise ArtifactMismatchError(
-                    f"{path}: tensor {name!r} has shape {shape!r}, not a list of integers >= 0"
-                )
-            count = math.prod(shape)  # a Python int: no overflow
-            nbytes = dtype.itemsize * count
-            if offset + nbytes > len(raw):
-                raise ArtifactMismatchError(f"{path}: truncated tensor {name!r}")
-            tensors[name] = np.frombuffer(
-                raw, dtype=dtype, count=count, offset=offset
-            ).reshape(shape).copy()
-            offset += nbytes
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactMismatchError(f"{path}: malformed header: {exc!r}") from exc
-    if offset != len(raw):
-        raise ArtifactMismatchError(f"{path}: {len(raw) - offset} trailing bytes")
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(MAGIC) + 4)
+        if len(prefix) < len(MAGIC) + 4 or prefix[: len(MAGIC)] != MAGIC:
+            raise ArtifactMismatchError(f"{path}: not a recognized artifact container")
+        (header_len,) = struct.unpack_from("<I", prefix, len(MAGIC))
+        offset = len(prefix) + header_len
+        if offset > size:
+            raise ArtifactMismatchError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            version = header.get("format_version")
+        except (UnicodeDecodeError, json.JSONDecodeError, AttributeError) as exc:
+            raise ArtifactMismatchError(f"{path}: unreadable header: {exc}") from exc
+        if version != FORMAT_VERSION:
+            raise ArtifactMismatchError(f"{path}: unsupported format version {version!r}")
+        try:
+            meta = header["meta"]
+            if not isinstance(meta, dict):
+                raise TypeError("meta is not an object")
+            entries = []
+            for entry in header["tensors"]:
+                name, spec, shape = entry["name"], entry["dtype"], entry["shape"]
+                # Only a dtype that write_container writes: its canonical name,
+                # little-endian or byte-order-free, of fixed non-zero size.
+                dtype = np.dtype(spec) if type(spec) is str else None
+                if (dtype is None or dtype.str != spec or spec[0] == ">" or dtype.itemsize == 0
+                        or dtype.hasobject):
+                    raise ArtifactMismatchError(
+                        f"{path}: tensor {name!r} has dtype {spec!r}, which no container holds"
+                    )
+                if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
+                    raise ArtifactMismatchError(
+                        f"{path}: tensor {name!r} has shape {shape!r}, not a list of integers >= 0"
+                    )
+                offset += dtype.itemsize * math.prod(shape)  # Python ints: no overflow
+                if offset > size:
+                    raise ArtifactMismatchError(f"{path}: truncated tensor {name!r}")
+                entries.append((name, dtype, shape))
+            if offset != size:
+                raise ArtifactMismatchError(f"{path}: {size - offset} trailing bytes")
+            tensors: dict[str, np.ndarray] = {}
+            for name, dtype, shape in entries:
+                tensors[name] = a = np.empty(shape, dtype)
+                if fh.readinto(_bytes_of(a)) != a.nbytes:  # the file shrank meanwhile
+                    raise ArtifactMismatchError(f"{path}: truncated tensor {name!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactMismatchError(f"{path}: malformed header: {exc!r}") from exc
     return meta, tensors
 
 

@@ -31,6 +31,7 @@ from .errors import (
     ContractError,
     NumericError,
     ShapeError,
+    encodable_path,
 )
 from .evaluation import accuracy, confidence_histogram, mcc, rpd, summarize_runs
 from .gridsearch import grid_search
@@ -66,7 +67,7 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
+    out = encodable_path(config.out_dir, "out.dir")
     out.mkdir(parents=True, exist_ok=True)
     return out
 

@@ -36,6 +36,7 @@ from .errors import (
     EmptySplitWarning,
     MarketSemanticsWarning,
     ParseError,
+    encodable_path,
 )
 from .forking import forked
 
@@ -336,7 +337,8 @@ def ingest_eod(path: str | Path, *, workers: int = 1) -> dict[str, EodSeries]:
     """Read one CSV file (or every ``*.csv`` in a directory) into
     date-sorted series, in sorted stock order.
 
-    Raises ParseError for malformed rows or CSV syntax (with file:line
+    Raises ContractError for a path the filesystem encoding cannot hold;
+    ParseError for malformed rows or CSV syntax (with file:line
     context) and non-UTF-8 files; DataError for non-positive prices, duplicate
     (stock, date) pairs, or no data rows at all.  Warns once per file with
     rows where low/high do not bound open/close (MarketSemanticsWarning).
@@ -348,7 +350,7 @@ def ingest_eod(path: str | Path, *, workers: int = 1) -> dict[str, EodSeries]:
     started once its failure is known, so the series, the first error and
     the warnings are those of a serial read whatever ``workers`` is.
     """
-    path = Path(path)
+    path = encodable_path(path, "input path")
     if not path.exists():
         raise FileNotFoundError(f"input path does not exist: {path}")
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]

@@ -1,8 +1,10 @@
 import dataclasses
 import datetime as dt
 import json
+import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,9 +25,9 @@ from advalstm.artifacts import (
 )
 from advalstm.errors import ArtifactMismatchError, EmptySplitWarning
 from advalstm.gridsearch import GridCell
-from advalstm.market_data import (SPLIT_NAMES, DatasetArtifact, SplitArrays, SplitSpec,
+from advalstm.market_data import (CSV_COLUMNS, SPLIT_NAMES, DatasetArtifact, SplitArrays, SplitSpec,
                                   align_trading_days, ingest_eod, label_and_window)
-from advalstm.model import ModelDims, init_params
+from advalstm.model import ModelDims, ParamSet, init_params, param_shapes
 from advalstm.synthetic import write_regime_price_csv
 from advalstm.training import EpochRecord
 
@@ -127,6 +129,39 @@ class TestContainer:
         p.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + b"\x00" * 8)
         with pytest.raises(ArtifactMismatchError, match=re.escape(message)):
             read_container(p)
+
+    def test_any_layout_writes_the_same_bytes(self, tmp_path):
+        t = np.arange(24.0).reshape(4, 6)
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_container(a, {}, {"t": t, "s": np.array(2.5), "i": np.arange(5, dtype=np.int16)})
+        # big-endian, Fortran-ordered and strided inputs of the same values
+        write_container(b, {}, {"t": np.asfortranarray(t.astype(">f8")),
+                                "s": np.array(2.5, dtype=">f8"),
+                                "i": np.repeat(np.arange(5, dtype=np.int16), 2)[::2]})
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_load_and_save_hold_one_copy_of_the_payload(self, tmp_path):
+        # The payload is large next to the header and the interpreter's own
+        # allocations, so each ratio is close to the number of copies held.
+        rng = np.random.default_rng(0)
+        tensors = {"a": rng.standard_normal((512, 1024)), "b": rng.standard_normal((256, 2048)),
+                   "c": np.arange(10, dtype=np.int32)}
+        payload = sum(t.nbytes for t in tensors.values())
+        path = tmp_path / "x.bin"
+        tracemalloc.start()
+        try:
+            write_container(path, {"k": 1}, tensors)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, loaded = read_container(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert write_peak <= 0.25 * payload, write_peak / payload
+        assert read_peak <= 1.25 * payload, read_peak / payload
+        for name, t in tensors.items():
+            assert_same_array(loaded[name], t)
 
 
 class TestCheckpoint:
@@ -420,6 +455,45 @@ class TestDataset:
                 assert got.tobytes() == x[rows].tobytes()
         with pytest.raises(ArtifactMismatchError, match="deeper than the dataset's lag 3"):
             ds.windows("train", 4)
+
+
+def pinned_market_csv() -> str:
+    """Two stocks over 45 days, every price written with two decimals."""
+    lines = [",".join(CSV_COLUMNS)]
+    for stock, base in (("AAA", 12.5), ("BBB", 40.25)):
+        for i in range(45):
+            close = base + (i * 37 % 23) * 0.13
+            cells = (close - 0.05, close + 0.35, close - 0.4, close, close * 0.98)
+            lines.append(f"{stock},{dt.date(2020, 1, 1) + dt.timedelta(days=i)},"
+                         + ",".join(f"{c:.2f}" for c in cells) + f",{1000 + 10 * i}")
+    return "\n".join(lines) + "\n"
+
+
+class TestPinnedBytes:
+    """The SHA-256 of two containers, recorded when they were first written.
+
+    Neither file's bytes go through exp or BLAS (features are ratios and
+    sums of parsed prices; the parameters are written as given), so the
+    hashes hold for every numpy build.  A change that moves them changes
+    the file format, and says so."""
+
+    def test_dataset(self, tmp_path):
+        (tmp_path / "m.csv").write_text(pinned_market_csv())
+        spec = SplitSpec(dt.date(2020, 2, 5), dt.date(2020, 2, 9), dt.date(2020, 2, 15), lag=3)
+        dataset = label_and_window(align_trading_days(ingest_eod(tmp_path / "m.csv")), spec)
+        assert dataset.counts() == {"train": 8, "val": 8, "test": 10}
+        save_dataset(tmp_path / "d.bin", dataset, spec)
+        assert file_sha256(tmp_path / "d.bin") == (
+            "6112fbf2902cd031e7643e649d199ed528379660871c034b5d350e2dc546f044")
+
+    def test_checkpoint(self, tmp_path):
+        dims = ModelDims(feat_dim=11, map_size=4, hidden_size=4, att_size=4)
+        n = sum(math.prod(shape) for shape in param_shapes(dims).values())
+        save_checkpoint(tmp_path / "m.ckpt", ParamSet(dims, np.arange(n) / 7), lag=3, seed=1,
+                        mode="adversarial", best_epoch=2, adv_scale=0.05,
+                        dataset_sha256="ab" * 32)
+        assert file_sha256(tmp_path / "m.ckpt") == (
+            "b886c839889f13a303f35f5b7e96e97dd479cafbb3999c81ea6ccc56b9fe5478")
 
 
 class TestCsv:

@@ -1237,6 +1237,34 @@ class TestOutputWrites:
         assert "\r\nCAFÉ," in (out / "predictions.csv").read_bytes().decode("utf-8")
         assert load_config(out / "best_config.cfg").data_path == elsewhere
 
+    def test_unencodable_paths_exit_2_under_an_ascii_locale(self, price_dir, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(advalstm.__file__).resolve().parents[1]),
+                   LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        query = "import sys; print(sys.getfilesystemencoding())"
+        encoding = subprocess.run([sys.executable, "-c", query], env=env, check=True,
+                                  capture_output=True, text=True).stdout.strip()
+        if encoding.replace("-", "").lower() == "utf8":
+            pytest.skip("the filesystem encoding is UTF-8 under every locale here")
+        # An existing input directory, so only its name is at fault.  It is
+        # made through bytes, which this process can pass under any locale.
+        prices = os.path.join(os.fsencode(tmp_path), "prix-été".encode())
+        os.mkdir(prices)
+        for f in price_dir.iterdir():
+            with open(os.path.join(prices, os.fsencode(f.name)), "wb") as fh:
+                fh.write(f.read_bytes())
+        cases = [("build", f"{tmp_path}/prix-été", tmp_path / "out", "input path")]
+        cases += [(command, price_dir, f"{tmp_path}/sortie-é", "out.dir")
+                  for command in ("build", "train", "grid", "eval", "attack", "report")]
+        cfg = tmp_path / "run.cfg"
+        for command, data_path, out_dir, what in cases:
+            keys = {**BASE_KEYS, "data.path": data_path, "out.dir": out_dir}
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()), encoding="utf-8")
+            done = subprocess.run([sys.executable, "-m", "advalstm.cli", command, "--config",
+                                   str(cfg)], env=env, capture_output=True, text=True)
+            assert done.returncode == 2, (command, done.stderr)
+            assert done.stderr.startswith(f"error: {what} ") and done.stderr.count("\n") == 1
+            assert f"cannot be encoded in the filesystem encoding {encoding!r}" in done.stderr
+
 
 def test_cli_import_loads_no_scipy():
     src = str(Path(advalstm.__file__).resolve().parents[1])

@@ -160,7 +160,7 @@ class TestRoundTrip:
 
 def readme_defaults() -> dict[str, str]:
     """Key -> default cell text from the README's configuration reference."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     table = readme[readme.index("## Configuration reference"):]
     out = {}
     for line in table.splitlines()[4:]:
